@@ -43,8 +43,6 @@ class AnalysisConfig:
     extra_lags: int = 1
     estimator: str = "auto"
     level: float = 0.05
-    seed: int = 0
-    output: Optional[str] = None
     output_format: str = "text"
     date_column: str = "DATE"
     value_column: str = "VALUE"
@@ -78,7 +76,6 @@ class AnalysisConfig:
             "extra_lags": self.extra_lags,
             "estimator": self.estimator,
             "level": self.level,
-            "seed": self.seed,
             "date_column": self.date_column,
             "value_column": self.value_column,
             "names": list(self.names) if self.names else None,
@@ -224,6 +221,13 @@ def run_pipeline(config: AnalysisConfig) -> Report:
             "input series lengths differ: "
             + ", ".join(f"{s.name}={len(s)}" for s in series)
         )
+    stamps = [s.timestamps for s in series]
+    if stamps[0] != stamps[1]:
+        row = next(i for i, (a, b) in enumerate(zip(*stamps)) if a != b)
+        raise DataError(
+            f"input dates differ from observation {row + 1}: "
+            f"{series[0].name}={stamps[0][row]!r}, {series[1].name}={stamps[1][row]!r}"
+        )
     if config.log_transform:
         series = [_log_series(s) for s in series]
     components = [decompose(s, config.deterministic) for s in series]
@@ -237,8 +241,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         p_pos, p_neg = config.fixed_lags
     else:
         table = lag_order_table(components, config.p_max, config.criterion)
-        p_pos = int(np.argmin(table["positive"])) + 1
-        p_neg = int(np.argmin(table["negative"])) + 1
+        p_pos, p_neg = table["selected"]
         diagnostics["lag_selection"] = {
             "criterion": config.criterion,
             "p_max": config.p_max,
@@ -492,7 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--level", type=float, default=0.05)
     run.add_argument("--arch-lags", type=int, default=1)
     run.add_argument("--sum-restrictions", action="store_true")
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=["text", "json"], default="text")
     run.add_argument("--out", help="write the report here instead of stdout")
 
@@ -548,8 +550,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         extra_lags=args.extra_lags,
         estimator=args.estimator,
         level=args.level,
-        seed=args.seed,
-        output=args.out,
         output_format=args.format,
         date_column=args.date_column,
         value_column=args.value_column,

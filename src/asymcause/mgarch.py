@@ -204,16 +204,6 @@ def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mean_residuals(coefficients: np.ndarray, system: SureSystem) -> np.ndarray:
-    slices = system.coefficient_slices()
-    return np.column_stack(
-        [
-            y - x @ coefficients[sl]
-            for y, x, sl in zip(system.regressands, system.regressors, slices)
-        ]
-    )
-
-
 def _conditional_variances(resid: np.ndarray, spec: GarchSpec) -> np.ndarray:
     """GARCH(1,1) recursion per equation.
 
@@ -243,7 +233,7 @@ def garch_t_loglik(
     n = spec.n
     if system.n_equations != n:
         raise ValueError("GarchSpec dimension does not match the system")
-    resid = _mean_residuals(np.asarray(coefficients, dtype=float), system)
+    resid = system.residuals(np.asarray(coefficients, dtype=float))
     t_eff = resid.shape[0]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
@@ -344,7 +334,7 @@ def fit_sure_garch_t(
             "observed information matrix is not invertible"
         ) from None
     mean_cov = info_inv[:k_mean, :k_mean]
-    resid_hat = _mean_residuals(mean_hat, system)
+    resid_hat = system.residuals(mean_hat)
     mean_estimate = CoefficientEstimate(
         coefficients=mean_hat,
         covariance=mean_cov,

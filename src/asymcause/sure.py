@@ -9,7 +9,8 @@ feasible GLS exploiting the cross-equation error covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,13 @@ class LayoutEntry:
 
 @dataclass(frozen=True)
 class SureSystem:
-    """Stacked block design: regressand and design matrix per equation."""
+    """Stacked block design: regressand and design matrix per equation.
+
+    Also holds the per-block cross-products, formed once at construction:
+    block (i, j) of the k x k ``gram`` is X_i'X_j and of the k x n ``xty``
+    is X_i'y_j.  ``slices`` and ``equation_index`` map the stacked
+    coefficients to their equations.
+    """
 
     regressands: tuple[np.ndarray, ...]
     regressors: tuple[np.ndarray, ...]
@@ -59,6 +66,10 @@ class SureSystem:
     extra_lags: int
     effective_sample: int
     variable_names: tuple[str, ...] = ()
+    slices: tuple[slice, ...] = field(init=False, compare=False, repr=False)
+    equation_index: np.ndarray = field(init=False, compare=False, repr=False)
+    gram: np.ndarray = field(init=False, compare=False, repr=False)
+    xty: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ys = tuple(np.asarray(y, dtype=float) for y in self.regressands)
@@ -70,11 +81,20 @@ class SureSystem:
                 raise ValueError(f"equation {i}: regressand length != effective sample")
             if x.shape[0] != self.effective_sample:
                 raise ValueError(f"equation {i}: design rows != effective sample")
-        if sum(x.shape[1] for x in xs) != len(self.layout):
+        widths = [x.shape[1] for x in xs]
+        if sum(widths) != len(self.layout):
             raise ValueError("layout size does not match total coefficient count")
+        bounds = [0, *accumulate(widths)]
         object.__setattr__(self, "regressands", ys)
         object.__setattr__(self, "regressors", xs)
         object.__setattr__(self, "layout", tuple(self.layout))
+        object.__setattr__(self, "slices", tuple(map(slice, bounds, bounds[1:])))
+        object.__setattr__(self, "equation_index", np.repeat(np.arange(len(xs)), widths))
+        # formed block by block: on ill-conditioned systems a single product
+        # of the stacked design rounds differently and moves the estimates
+        object.__setattr__(self, "gram", np.block([[a.T @ b for b in xs] for a in xs]))
+        xty = np.vstack([np.column_stack([x.T @ y for y in ys]) for x in xs])
+        object.__setattr__(self, "xty", xty)
 
     @property
     def n_equations(self) -> int:
@@ -84,13 +104,14 @@ class SureSystem:
     def n_coefficients(self) -> int:
         return len(self.layout)
 
-    def coefficient_slices(self) -> list[slice]:
-        """Slice of the stacked coefficient vector belonging to each equation."""
-        out, start = [], 0
-        for x in self.regressors:
-            out.append(slice(start, start + x.shape[1]))
-            start += x.shape[1]
-        return out
+    def residuals(self, coefficients: np.ndarray) -> np.ndarray:
+        """(T, n) residuals of every equation at a stacked coefficient vector."""
+        return np.column_stack(
+            [
+                y - x @ coefficients[sl]
+                for y, x, sl in zip(self.regressands, self.regressors, self.slices)
+            ]
+        )
 
     def equation_labels(self) -> list[str]:
         labels = []
@@ -266,17 +287,25 @@ def _block_criterion_values(
 def lag_order_table(
     components: Sequence[SignedComponents], p_max: int, criterion: str = "sbc"
 ) -> dict:
-    """Criterion values per candidate order for both sign blocks."""
+    """Criterion values per candidate order for both sign blocks.
+
+    "selected" holds the (P+, P-) pair minimizing each block's criterion.
+    """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    pos = np.column_stack([c.positive for c in components])
-    neg = np.column_stack([c.negative for c in components])
+    pos = _block_criterion_values(
+        np.column_stack([c.positive for c in components]), p_max, criterion
+    )
+    neg = _block_criterion_values(
+        np.column_stack([c.negative for c in components]), p_max, criterion
+    )
     return {
         "criterion": criterion,
-        "positive": _block_criterion_values(pos, p_max, criterion),
-        "negative": _block_criterion_values(neg, p_max, criterion),
+        "positive": pos,
+        "negative": neg,
+        "selected": (int(np.argmin(pos)) + 1, int(np.argmin(neg)) + 1),
     }
 
 
@@ -284,49 +313,35 @@ def select_lags(
     components: Sequence[SignedComponents], p_max: int, criterion: str = "sbc"
 ) -> tuple[int, int]:
     """Pick (P+, P-) by minimizing the criterion independently per sign block."""
-    table = lag_order_table(components, p_max, criterion)
-    p_pos = int(np.argmin(table["positive"])) + 1
-    p_neg = int(np.argmin(table["negative"])) + 1
-    return p_pos, p_neg
-
-
-def _cross_products(system: SureSystem):
-    xs, ys = system.regressors, system.regressands
-    n = system.n_equations
-    gram = [[xs[i].T @ xs[j] for j in range(n)] for i in range(n)]
-    zx = [[xs[i].T @ ys[j] for j in range(n)] for i in range(n)]
-    return gram, zx
+    return lag_order_table(components, p_max, criterion)["selected"]
 
 
 def ols_fit(system: SureSystem) -> CoefficientEstimate:
     """Equation-by-equation least squares; consistent but not efficient."""
     labels = system.equation_labels()
-    t_eff = system.effective_sample
-    coefs, resids, gram_invs = [], [], []
-    for i, (y, x) in enumerate(zip(system.regressands, system.regressors)):
-        gram = x.T @ x
+    coefs, gram_invs = [], []
+    for i, sl in enumerate(system.slices):
+        gram = system.gram[sl, sl]
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             raise SingularityError(
                 f"equation {labels[i]}: design matrix is rank-deficient"
             ) from None
-        c = np.linalg.solve(gram, x.T @ y)
-        coefs.append(c)
-        resids.append(y - x @ c)
+        coefs.append(np.linalg.solve(gram, system.xty[sl, i]))
         inv_chol = np.linalg.solve(chol, np.eye(chol.shape[0]))
         gram_invs.append(inv_chol.T @ inv_chol)
-    u = np.column_stack(resids)
-    omega = u.T @ u / t_eff
-    k = sum(c.size for c in coefs)
-    covariance = np.zeros((k, k))
-    for i, sl in enumerate(system.coefficient_slices()):
+    coefficients = np.concatenate(coefs)
+    u = system.residuals(coefficients)
+    omega = u.T @ u / system.effective_sample
+    covariance = np.zeros((coefficients.size, coefficients.size))
+    for i, sl in enumerate(system.slices):
         covariance[sl, sl] = omega[i, i] * gram_invs[i]
     return CoefficientEstimate(
-        coefficients=np.concatenate(coefs),
+        coefficients=coefficients,
         covariance=covariance,
         omega=omega,
-        residuals=tuple(resids),
+        residuals=tuple(u.T),
         estimator="ols",
     )
 
@@ -337,7 +352,8 @@ def gls_solve(
     """One generalized least squares solve for a given error covariance.
 
     Returns the stacked coefficient vector and its covariance
-    [Z'(omega^-1 (x) I)Z]^-1 exploiting the block-diagonal design.
+    [Z'(omega^-1 (x) I)Z]^-1, weighting the system's cached cross-product
+    blocks by the matching entries of omega^-1.
     """
     omega = np.asarray(omega, dtype=float)
     n = system.n_equations
@@ -350,15 +366,9 @@ def gls_solve(
         raise NotPositiveDefiniteError(
             "residual covariance is not positive definite"
         ) from None
-    gram, zx = _cross_products(system)
-    slices = system.coefficient_slices()
-    k = system.n_coefficients
-    a = np.zeros((k, k))
-    b = np.zeros(k)
-    for i in range(n):
-        for j in range(n):
-            a[slices[i], slices[j]] = weight[i, j] * gram[i][j]
-        b[slices[i]] = sum(weight[i, j] * zx[i][j] for j in range(n))
+    rows = weight[system.equation_index]
+    a = system.gram * rows[:, system.equation_index]
+    b = (system.xty * rows).sum(axis=1)
     try:
         coef = np.linalg.solve(a, b)
         cov = np.linalg.inv(a)
@@ -372,43 +382,28 @@ def fgls_fit(
 ) -> CoefficientEstimate:
     """Iterated feasible GLS: alternate the error covariance and the GLS solve.
 
-    Starts from OLS residuals and stops when the largest coefficient change
-    drops below tol; the reported covariance uses the covariance matrix from
-    the final solve.
+    Starts from the OLS residual covariance and stops when the largest
+    coefficient change drops below tol; the reported covariance uses the
+    covariance matrix from the final solve.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    t_eff = system.effective_sample
-    slices = system.coefficient_slices()
-
-    def system_residuals(coef: np.ndarray) -> list[np.ndarray]:
-        return [
-            y - x @ coef[sl]
-            for y, x, sl in zip(system.regressands, system.regressors, slices)
-        ]
-
-    previous = ols_fit(system).coefficients
-    resids = system_residuals(previous)
-    converged = False
-    iterations = 0
-    coef = previous
-    cov = None
-    omega = None
-    while iterations < max_iter:
-        iterations += 1
-        u = np.column_stack(resids)
-        omega = u.T @ u / t_eff
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    ols = ols_fit(system)
+    previous, omega = ols.coefficients, ols.omega
+    for iterations in range(1, max_iter + 1):
         coef, cov = gls_solve(system, omega)
-        resids = system_residuals(coef)
-        if np.max(np.abs(coef - previous)) < tol:
-            converged = True
+        u = system.residuals(coef)
+        converged = bool(np.max(np.abs(coef - previous)) < tol)
+        if converged or iterations == max_iter:
             break
-        previous = coef
+        previous, omega = coef, u.T @ u / system.effective_sample
     return CoefficientEstimate(
         coefficients=coef,
         covariance=cov,
         omega=omega,
-        residuals=tuple(resids),
+        residuals=tuple(u.T),
         estimator="fgls",
         iterations=iterations,
         converged=converged,

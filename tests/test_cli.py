@@ -20,11 +20,11 @@ from asymcause.cli import (
 
 
 def write_series_csv(path, series, transform=None, date_header="DATE",
-                     value_header="VALUE"):
+                     value_header="VALUE", start_year=1999):
     transform = transform or (lambda v: v)
     lines = [f"{date_header},{value_header}"]
     for i, value in enumerate(series.values):
-        year, month = 1999 + (i + 2) // 12, (i + 2) % 12 + 1
+        year, month = start_year + (i + 2) // 12, (i + 2) % 12 + 1
         lines.append(f"{year:04d}-{month:02d}-01,{transform(value):.8f}")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
@@ -157,6 +157,13 @@ class TestPipeline:
         )
         config = AnalysisConfig(inputs=(pair_of_csvs[0], str(short)))
         with pytest.raises(DataError, match="lengths differ"):
+            run_pipeline(config)
+        # equal lengths over different date ranges are never paired
+        later = write_series_csv(tmp_path / "later.csv",
+                                 load_csv(pair_of_csvs[1]), start_year=2005)
+        config = AnalysisConfig(inputs=(pair_of_csvs[0], later))
+        with pytest.raises(DataError,
+                           match="observation 1: us='1999-03-01', later='2005-03-01'"):
             run_pipeline(config)
 
     def test_three_inputs_rejected(self, pair_of_csvs):

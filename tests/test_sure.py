@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymcause import (
     DeterministicSpec,
@@ -47,6 +49,24 @@ def var_components(data: np.ndarray, name: str) -> SignedComponents:
         initial_value=0.0,
         name=name,
     )
+
+
+def random_system(rng: np.random.Generator, widths, t_obs: int = 40) -> SureSystem:
+    """Gaussian design with an intercept and widths[i] columns in equation i."""
+    regressors = tuple(
+        np.column_stack([np.ones(t_obs), rng.standard_normal((t_obs, w - 1))])
+        for w in widths
+    )
+    regressands = tuple(
+        x @ rng.standard_normal(x.shape[1]) + rng.standard_normal(t_obs)
+        for x in regressors
+    )
+    layout = tuple(
+        LayoutEntry(f"c{i},{j}", i, i + 1, "+", None if j == 0 else 1, j, j > 0)
+        for i, w in enumerate(widths)
+        for j in range(w)
+    )
+    return SureSystem(regressands, regressors, layout, (1, 1), 0, t_obs)
 
 
 class TestBuildDesign:
@@ -231,13 +251,65 @@ class TestFgls:
         coef, _ = gls_solve(system, np.eye(2))
         np.testing.assert_allclose(coef, ols.coefficients, rtol=0, atol=1e-12)
 
-    def test_any_diagonal_omega_reproduces_ols(self, rng):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        variances=st.lists(st.floats(0.05, 20.0), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_diagonal_omega_reproduces_ols(self, widths, variances, seed):
         # no cross-equation information flows when the weight matrix is
-        # diagonal, whatever the variances are
-        system, _ = exog_two_equation_system(rng)
+        # diagonal, whatever the variances and equation widths are
+        system = random_system(np.random.default_rng(seed), widths)
         ols = ols_fit(system)
-        coef, _ = gls_solve(system, np.diag([0.3, 4.2]))
+        coef, _ = gls_solve(system, np.diag(variances[: len(widths)]))
         np.testing.assert_allclose(coef, ols.coefficients, rtol=0, atol=1e-12)
+
+    def test_gls_matches_dense_kronecker_oracle(self):
+        # unequal equation widths (7 and 5) against the textbook formula
+        # [Z'(omega^-1 (x) I)Z]^-1 Z'(omega^-1 (x) I)y on an explicit
+        # block-diagonal Z; white-noise components keep the design well
+        # conditioned, so the tolerance measures the assembly, not rounding
+        rng = np.random.default_rng(15)
+        comps = [
+            SignedComponents(
+                positive=rng.standard_normal(200),
+                negative=rng.standard_normal(200),
+                innovations_pos=np.zeros(199),
+                innovations_neg=np.zeros(199),
+                fitted_drift=0.0,
+                fitted_trend=0.0,
+                initial_value=0.0,
+                name=f"v{i + 1}",
+            )
+            for i in range(2)
+        ]
+        system = build_design(comps, 2, 1, extra_lags=1)
+        assert [x.shape[1] for x in system.regressors] == [7, 7, 5, 5]
+        n, t_eff = system.n_equations, system.effective_sample
+        scale = rng.standard_normal((n, n))
+        omega = scale @ scale.T + n * np.eye(n)
+        z = np.zeros((n * t_eff, system.n_coefficients))
+        for i, (x, sl) in enumerate(zip(system.regressors, system.slices)):
+            z[i * t_eff : (i + 1) * t_eff, sl] = x
+        y = np.concatenate(system.regressands)
+        weight = np.kron(np.linalg.inv(omega), np.eye(t_eff))
+        cov_dense = np.linalg.inv(z.T @ weight @ z)
+        coef_dense = cov_dense @ (z.T @ weight @ y)
+        coef, cov = gls_solve(system, omega)
+        np.testing.assert_allclose(coef, coef_dense, rtol=1e-10)
+        np.testing.assert_allclose(cov, cov_dense, rtol=1e-10)
+        # the broadcast assembly keeps the arithmetic of the per-block loop
+        inv = np.linalg.inv(np.linalg.cholesky(omega))
+        inv = inv.T @ inv
+        xs, ys, slices = system.regressors, system.regressands, system.slices
+        a = np.zeros((system.n_coefficients,) * 2)
+        b = np.zeros(system.n_coefficients)
+        for i in range(n):
+            for j in range(n):
+                a[slices[i], slices[j]] = inv[i, j] * (xs[i].T @ xs[j])
+            b[slices[i]] = sum(inv[i, j] * (xs[i].T @ ys[j]) for j in range(n))
+        np.testing.assert_array_equal(coef, np.linalg.solve(a, b))
 
     def test_kruskal_identical_regressors(self, rng):
         system = identical_regressor_system(rng)
@@ -303,3 +375,5 @@ class TestFgls:
         system, _ = exog_two_equation_system(rng)
         with pytest.raises(ValueError):
             fgls_fit(system, tol=0.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            fgls_fit(system, max_iter=0)
