@@ -49,6 +49,7 @@ from .wald import (
     HYPOTHESIS_IDS,
     HypothesisSpec,
     WaldResult,
+    catalog,
     chisq_sf,
     restriction_for,
     run_catalog,
@@ -81,6 +82,7 @@ __all__ = [
     "HYPOTHESIS_IDS",
     "HypothesisSpec",
     "WaldResult",
+    "catalog",
     "chisq_sf",
     "restriction_for",
     "run_catalog",

@@ -24,7 +24,7 @@ from .errors import AsymCauseError, DataError
 from .mgarch import arch_lm_diag, fit_sure_garch_t
 from .montecarlo import DgpConfig, empirical_size
 from .sure import CRITERIA, build_design, fgls_fit, lag_order_table
-from .wald import run_catalog
+from .wald import catalog, run_catalog
 
 P_VALUE_FLOOR = 1e-5  # below this the text renderer prints "< 0.00001"
 ARCH_GATE_LEVEL = 0.05  # fixed gate for the auto estimator choice
@@ -282,9 +282,8 @@ def run_pipeline(config: AnalysisConfig) -> Report:
             "converged": fgls.converged,
         }
 
-    catalog = run_catalog(
-        estimate, system.layout, system.variable_names, config.sum_restrictions
-    )
+    specs = catalog(system.layout, system.variable_names, config.sum_restrictions)
+    results = run_catalog(estimate, specs)
 
     estimates_rows = []
     variances = np.diag(estimate.covariance)
@@ -311,7 +310,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
             "p_value": float(r.p_value),
             "implication": r.hypothesis.label,
         }
-        for r in catalog
+        for r in results
     ]
     first, last = None, None
     if series[0].timestamps:

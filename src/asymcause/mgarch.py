@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -312,8 +312,7 @@ def fit_sure_garch_t(
             f"{n_params} free parameters; estimates may be unstable",
             stacklevel=2,
         )
-    resid0 = np.column_stack(base.residuals)
-    theta0 = unconstrain_params(base.coefficients, _initial_spec(resid0))
+    theta0 = unconstrain_params(base.coefficients, _initial_spec(base.residuals))
 
     def objective(theta: np.ndarray) -> float:
         try:
@@ -334,12 +333,11 @@ def fit_sure_garch_t(
             "observed information matrix is not invertible"
         ) from None
     mean_cov = info_inv[:k_mean, :k_mean]
-    resid_hat = system.residuals(mean_hat)
     mean_estimate = CoefficientEstimate(
         coefficients=mean_hat,
         covariance=mean_cov,
         omega=spec_hat.unconditional_covariance(),
-        residuals=tuple(resid_hat.T),
+        residuals=system.residuals(mean_hat),
         estimator="garch_t_ml",
         iterations=result.iterations,
         converged=result.converged,
@@ -386,10 +384,8 @@ def simulate_ccc_garch_t(spec: GarchSpec, t_obs: int, seed) -> np.ndarray:
     return eps
 
 
-def arch_lm_diag(
-    residuals: Sequence[np.ndarray] | np.ndarray, lags: int = 1
-) -> ArchLmResult:
-    """Multivariate ARCH LM diagnostic on a set of residual series.
+def arch_lm_diag(residuals: np.ndarray, lags: int = 1) -> ArchLmResult:
+    """Multivariate ARCH LM diagnostic on (T, n) residuals.
 
     Regresses the vectorized outer products of the demeaned residuals on
     their own lags and measures the explained variation; the statistic is
@@ -399,10 +395,8 @@ def arch_lm_diag(
     if lags < 1:
         raise ValueError("lags must be >= 1")
     u = np.asarray(residuals, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    elif u.shape[0] < u.shape[1]:
-        u = u.T  # accept either (T, n) arrays or n stacked sequences
+    if u.ndim != 2:
+        raise ValueError("residuals must be a (T, n) array")
     t_obs, n = u.shape
     u = u - u.mean(axis=0)
     rows, cols = np.tril_indices(n)

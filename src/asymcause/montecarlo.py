@@ -16,7 +16,7 @@ import numpy as np
 
 from .decomposition import DeterministicSpec, Series, decompose
 from .sure import build_design, fgls_fit, ols_fit, select_lags
-from .wald import HYPOTHESIS_IDS, run_catalog
+from .wald import HYPOTHESIS_IDS, HypothesisSpec, catalog, run_catalog
 
 ERROR_TAILS = ("gaussian", "t")
 
@@ -122,6 +122,8 @@ def empirical_size(
         raise ValueError("estimator must be 'fgls' or 'ols'")
     base_seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     rejections = {hid: 0 for hid in HYPOTHESIS_IDS}
+    # the layout depends only on the lag orders: one catalog per (P+, P-)
+    catalogs: dict[tuple[int, int], tuple[HypothesisSpec, ...]] = {}
     for rep in range(reps):
         rep_config = replace(config, seed=base_seed + (rep,))
         series = simulate_dgp(rep_config)
@@ -134,9 +136,12 @@ def empirical_size(
             p_pos, p_neg = select_lags(components, p_max, criterion)
         system = build_design(components, p_pos, p_neg, extra_lags)
         fit = fgls_fit(system) if estimator == "fgls" else ols_fit(system)
-        for result in run_catalog(
-            fit, system.layout, system.variable_names, sum_restrictions
-        ):
+        specs = catalogs.get((p_pos, p_neg))
+        if specs is None:
+            specs = catalogs[p_pos, p_neg] = catalog(
+                system.layout, system.variable_names, sum_restrictions
+            )
+        for result in run_catalog(fit, specs):
             if result.p_value < level:
                 rejections[result.hypothesis.id] += 1
     return {hid: rejections[hid] / reps for hid in HYPOTHESIS_IDS}

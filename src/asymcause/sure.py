@@ -44,10 +44,6 @@ class LayoutEntry:
     lag: int  # 0 for the intercept
     restricted: bool  # True for lags 1..P, False for intercept and extra lags
 
-    @property
-    def is_intercept(self) -> bool:
-        return self.reg_var is None
-
 
 @dataclass(frozen=True)
 class SureSystem:
@@ -131,7 +127,7 @@ class CoefficientEstimate:
     coefficients: np.ndarray
     covariance: np.ndarray
     omega: np.ndarray
-    residuals: tuple[np.ndarray, ...]
+    residuals: np.ndarray  # (T, n), one column per equation
     estimator: str
     iterations: int = 1
     converged: bool = True
@@ -140,20 +136,19 @@ class CoefficientEstimate:
         coef = np.asarray(self.coefficients, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
         omega = np.asarray(self.omega, dtype=float)
+        residuals = np.asarray(self.residuals, dtype=float)
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"unknown estimator tag {self.estimator!r}")
         if cov.shape != (coef.size, coef.size):
             raise ValueError("covariance shape does not match coefficient count")
-        if omega.shape != (len(self.residuals), len(self.residuals)):
+        if residuals.ndim != 2:
+            raise ValueError("residuals must be a (T, n) array")
+        if omega.shape != (residuals.shape[1], residuals.shape[1]):
             raise ValueError("omega shape does not match equation count")
         object.__setattr__(self, "coefficients", coef)
         object.__setattr__(self, "covariance", (cov + cov.T) / 2.0)
         object.__setattr__(self, "omega", (omega + omega.T) / 2.0)
-        object.__setattr__(
-            self,
-            "residuals",
-            tuple(np.asarray(r, dtype=float) for r in self.residuals),
-        )
+        object.__setattr__(self, "residuals", residuals)
 
 
 def build_design(
@@ -341,7 +336,7 @@ def ols_fit(system: SureSystem) -> CoefficientEstimate:
         coefficients=coefficients,
         covariance=covariance,
         omega=omega,
-        residuals=tuple(u.T),
+        residuals=u,
         estimator="ols",
     )
 
@@ -403,7 +398,7 @@ def fgls_fit(
         coefficients=coef,
         covariance=cov,
         omega=omega,
-        residuals=tuple(u.T),
+        residuals=u,
         estimator="fgls",
         iterations=iterations,
         converged=converged,

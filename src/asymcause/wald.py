@@ -18,8 +18,6 @@ import numpy as np
 from .errors import SingularityError
 from .sure import CoefficientEstimate, LayoutEntry
 
-HYPOTHESIS_IDS = tuple(f"H{i}" for i in range(1, 11))
-
 
 @dataclass(frozen=True)
 class HypothesisSpec:
@@ -106,83 +104,41 @@ def chisq_sf(x: float, q: int) -> float:
     return float(min(1.0, max(0.0, p)))
 
 
-def _causal_entries(
-    layout: Sequence[LayoutEntry], eq_var: int, sign: str
-) -> list[tuple[int, LayoutEntry]]:
-    """Positions of the restricted cross-variable lag coefficients.
+# Each null's terms in catalog row order.  A group (eq_var, sign) stands for
+# the restricted lags of the other variable in that equation, all set to zero;
+# a pair (plus, minus) of groups states that their sums are equal.
+_BETA_POS, _BETA_NEG, _GAMMA_POS, _GAMMA_NEG = (1, "+"), (1, "-"), (2, "+"), (2, "-")
+_BETA_SYM, _GAMMA_SYM = (_BETA_POS, _BETA_NEG), (_GAMMA_POS, _GAMMA_NEG)
+_NULLS = {
+    "H1": (_BETA_POS,),
+    "H2": (_BETA_NEG,),
+    "H3": (_BETA_POS, _BETA_NEG),
+    "H4": (_BETA_SYM,),
+    "H5": (_GAMMA_POS,),
+    "H6": (_GAMMA_NEG,),
+    "H7": (_GAMMA_POS, _GAMMA_NEG),
+    "H8": (_GAMMA_SYM,),
+    "H9": (_BETA_POS, _BETA_NEG, _GAMMA_POS, _GAMMA_NEG),
+    "H10": (_BETA_SYM, _GAMMA_SYM),
+}
+HYPOTHESIS_IDS = tuple(_NULLS)
 
-    eq_var is the equation's variable; the causal regressor is the other one.
-    """
-    reg_var = 2 if eq_var == 1 else 1
-    found = [
-        (k, entry)
-        for k, entry in enumerate(layout)
-        if entry.eq_var == eq_var
-        and entry.eq_sign == sign
-        and entry.reg_var == reg_var
-        and entry.restricted
-    ]
-    if not found:
-        raise ValueError(
-            f"layout has no restricted lag of variable {reg_var} in the "
-            f"{sign} equation of variable {eq_var}; is this a 2-variable system?"
-        )
-    return found
-
-
-def _zero_rows(
-    entries: list[tuple[int, LayoutEntry]], k_total: int, collapse: bool
-) -> tuple[np.ndarray, list[str]]:
-    if collapse:
-        row = np.zeros((1, k_total))
-        for pos, _ in entries:
-            row[0, pos] = 1.0
-        text = " + ".join(entry.name for _, entry in entries) + " = 0"
-        return row, [text]
-    rows = np.zeros((len(entries), k_total))
-    texts = []
-    for i, (pos, entry) in enumerate(entries):
-        rows[i, pos] = 1.0
-        texts.append(f"{entry.name} = 0")
-    return rows, texts
-
-
-def _difference_row(
-    plus: list[tuple[int, LayoutEntry]],
-    minus: list[tuple[int, LayoutEntry]],
-    k_total: int,
-) -> tuple[np.ndarray, list[str]]:
-    row = np.zeros((1, k_total))
-    for pos, _ in plus:
-        row[0, pos] = 1.0
-    for pos, _ in minus:
-        row[0, pos] = -1.0
-    text = (
-        " + ".join(e.name for _, e in plus)
-        + " - "
-        + " - ".join(e.name for _, e in minus)
-        + " = 0"
-    )
-    return row, [text]
-
-
-def _labels(v1: str, v2: str) -> dict[str, str]:
-    return {
-        "H1": f"A rising {v2} does not cause a rising {v1}.",
-        "H2": f"A falling {v2} does not cause a falling {v1}.",
-        "H3": f"Neither rising nor falling {v2} causes rising or falling {v1}.",
-        "H4": f"The impact of rising and falling {v2} on {v1} is the same "
-        "(symmetric causality).",
-        "H5": f"A rising {v1} does not cause a rising {v2}.",
-        "H6": f"A falling {v1} does not cause a falling {v2}.",
-        "H7": f"Neither rising nor falling {v1} causes rising or falling {v2}.",
-        "H8": f"The impact of rising and falling {v1} on {v2} is the same "
-        "(symmetric causality).",
-        "H9": f"{v1} and {v2} are not causing each other for either rising "
-        "or falling components.",
-        "H10": f"The joint causal impacts of {v1} and {v2} on each other are "
-        "symmetric.",
-    }
+_LABELS = {
+    "H1": "A rising {v2} does not cause a rising {v1}.",
+    "H2": "A falling {v2} does not cause a falling {v1}.",
+    "H3": "Neither rising nor falling {v2} causes rising or falling {v1}.",
+    "H4": "The impact of rising and falling {v2} on {v1} is the same "
+    "(symmetric causality).",
+    "H5": "A rising {v1} does not cause a rising {v2}.",
+    "H6": "A falling {v1} does not cause a falling {v2}.",
+    "H7": "Neither rising nor falling {v1} causes rising or falling {v2}.",
+    "H8": "The impact of rising and falling {v1} on {v2} is the same "
+    "(symmetric causality).",
+    "H9": "{v1} and {v2} are not causing each other for either rising "
+    "or falling components.",
+    "H10": "The joint causal impacts of {v1} and {v2} on each other are "
+    "symmetric.",
+}
 
 
 def restriction_for(
@@ -199,44 +155,69 @@ def restriction_for(
     H8, H10) always compare sums, which stays well defined when the positive
     and negative lag orders differ.
     """
-    if hypothesis_id not in HYPOTHESIS_IDS:
+    if hypothesis_id not in _NULLS:
         raise ValueError(f"unknown hypothesis id {hypothesis_id!r}")
     layout = tuple(layout)
-    k_total = len(layout)
+    groups: dict[tuple[int, str], list[int]] = {}
+    for k, entry in enumerate(layout):
+        # variables 1 and 2 cause each other: the regressor is the other one
+        if entry.restricted and entry.reg_var == 3 - entry.eq_var:
+            groups.setdefault((entry.eq_var, entry.eq_sign), []).append(k)
+
+    def group(key: tuple[int, str]) -> list[int]:
+        if key not in groups:
+            eq_var, sign = key
+            raise ValueError(
+                f"layout has no restricted lag of variable {3 - eq_var} in the "
+                f"{sign} equation of variable {eq_var}; is this a 2-variable system?"
+            )
+        return groups[key]
+
+    def joined(positions: list[int], sign: str) -> str:
+        return f" {sign} ".join(layout[k].name for k in positions)
+
+    rows: list[tuple[list[int], list[int], str]] = []  # (+1 at, -1 at, text)
+    for term in _NULLS[hypothesis_id]:
+        if isinstance(term[0], tuple):  # symmetry: equal sums of two groups
+            plus, minus = group(term[0]), group(term[1])
+            text = f"{joined(plus, '+')} - {joined(minus, '-')} = 0"
+            rows.append((plus, minus, text))
+        elif sum_restrictions:
+            rows.append((group(term), [], f"{joined(group(term), '+')} = 0"))
+        else:
+            rows.extend(([k], [], f"{layout[k].name} = 0") for k in group(term))
+    restriction = np.zeros((len(rows), len(layout)))
+    for row, (plus, minus, _) in zip(restriction, rows):
+        row[plus] = 1.0
+        row[minus] = -1.0
+
     v1, v2 = "variable 1", "variable 2"
     if variable_names:
         v1 = variable_names[0] or v1
         if len(variable_names) > 1:
             v2 = variable_names[1] or v2
-    labels = _labels(v1, v2)
-
-    beta_plus = _causal_entries(layout, 1, "+")
-    beta_minus = _causal_entries(layout, 1, "-")
-    gamma_plus = _causal_entries(layout, 2, "+")
-    gamma_minus = _causal_entries(layout, 2, "-")
-
-    blocks: list[tuple[np.ndarray, list[str]]] = []
-    if hypothesis_id in ("H1", "H3", "H9"):
-        blocks.append(_zero_rows(beta_plus, k_total, sum_restrictions))
-    if hypothesis_id in ("H2", "H3", "H9"):
-        blocks.append(_zero_rows(beta_minus, k_total, sum_restrictions))
-    if hypothesis_id in ("H5", "H7", "H9"):
-        blocks.append(_zero_rows(gamma_plus, k_total, sum_restrictions))
-    if hypothesis_id in ("H6", "H7", "H9"):
-        blocks.append(_zero_rows(gamma_minus, k_total, sum_restrictions))
-    if hypothesis_id in ("H4", "H10"):
-        blocks.append(_difference_row(beta_plus, beta_minus, k_total))
-    if hypothesis_id in ("H8", "H10"):
-        blocks.append(_difference_row(gamma_plus, gamma_minus, k_total))
-
-    restriction = np.vstack([rows for rows, _ in blocks])
-    null = " and ".join(text for _, texts in blocks for text in texts)
     return HypothesisSpec(
         id=hypothesis_id,
         restriction=restriction,
-        dof=restriction.shape[0],
-        label=labels[hypothesis_id],
-        null=null,
+        dof=len(rows),
+        label=_LABELS[hypothesis_id].format(v1=v1, v2=v2),
+        null=" and ".join(text for _, _, text in rows),
+    )
+
+
+def catalog(
+    layout: Sequence[LayoutEntry],
+    variable_names: Sequence[str] | None = None,
+    sum_restrictions: bool = False,
+) -> tuple[HypothesisSpec, ...]:
+    """All ten hypotheses in catalog order for one coefficient layout.
+
+    The specs depend only on the layout, so build them once and test every
+    estimate on that layout against them.
+    """
+    return tuple(
+        restriction_for(hid, layout, variable_names, sum_restrictions)
+        for hid in HYPOTHESIS_IDS
     )
 
 
@@ -271,16 +252,7 @@ def wald_test(estimate: CoefficientEstimate, spec: HypothesisSpec) -> WaldResult
 
 
 def run_catalog(
-    estimate: CoefficientEstimate,
-    layout: Sequence[LayoutEntry],
-    variable_names: Sequence[str] | None = None,
-    sum_restrictions: bool = False,
+    estimate: CoefficientEstimate, specs: Sequence[HypothesisSpec]
 ) -> list[WaldResult]:
-    """All ten hypotheses in catalog order."""
-    return [
-        wald_test(
-            estimate,
-            restriction_for(hid, layout, variable_names, sum_restrictions),
-        )
-        for hid in HYPOTHESIS_IDS
-    ]
+    """Wald test of the estimate against each spec, in the given order."""
+    return [wald_test(estimate, spec) for spec in specs]

@@ -222,7 +222,7 @@ class TestArchLm:
         for rep in range(reps):
             rng = np.random.default_rng((55, rep))
             u = rng.standard_normal((500, 2))
-            result = arch_lm_diag(u.T, lags=1)
+            result = arch_lm_diag(u, lags=1)
             rejections += result.p_value < 0.05
         assert 0.02 <= rejections / reps <= 0.09
 
@@ -232,23 +232,24 @@ class TestArchLm:
         rejections = 0
         for rep in range(50):
             draws = simulate_ccc_garch_t(spec, 1000, seed=(7, rep))
-            rejections += arch_lm_diag(draws.T, lags=1).p_value < 0.05
+            rejections += arch_lm_diag(draws, lags=1).p_value < 0.05
         assert rejections >= 45
 
     def test_constant_residuals_error(self):
         with pytest.raises(SingularityError, match="degenerate"):
-            arch_lm_diag(np.ones((2, 100)), lags=1)
+            arch_lm_diag(np.ones((100, 2)), lags=1)
 
     def test_insufficient_observations(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InsufficientDataError):
-            arch_lm_diag(rng.standard_normal((3, 8)), lags=2)
+            arch_lm_diag(rng.standard_normal((8, 3)), lags=2)
 
-    def test_accepts_both_orientations(self, rng):
-        u = rng.standard_normal((400, 2))
-        a = arch_lm_diag(u, lags=1)
-        b = arch_lm_diag(u.T, lags=1)
-        assert a == b
+    def test_rows_are_observations(self, rng):
+        # a wide array is 2 observations of 100 series, not transposed
+        with pytest.raises(InsufficientDataError):
+            arch_lm_diag(rng.standard_normal((2, 100)), lags=1)
+        with pytest.raises(ValueError, match=r"\(T, n\)"):
+            arch_lm_diag(rng.standard_normal(100), lags=1)
 
     def test_dof_formula(self, rng):
         u = rng.standard_normal((300, 2))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import asymcause.wald
 from asymcause import DgpConfig, empirical_size, simulate_dgp
 
 
@@ -114,6 +115,19 @@ class TestEmpiricalSize:
             config, reps=10, level=0.05, fixed_lags=None, p_max=3
         )
         assert len(rates) == 10
+
+    def test_catalog_built_once_per_layout(self, monkeypatch):
+        calls = []
+        original = asymcause.wald.restriction_for
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(asymcause.wald, "restriction_for", counted)
+        config = DgpConfig(drift=(0.2, 0.1), t_obs=120, seed=35)
+        empirical_size(config, reps=20, level=0.05)
+        assert len(calls) == 10
 
     def test_argument_validation(self):
         config = DgpConfig(t_obs=100, seed=1)

@@ -184,7 +184,7 @@ class TestOls:
         )
         fit = ols_fit(system)
         assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(fit.residuals[0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(fit.residuals[:, 0], 0.0, atol=1e-12)
 
     def test_matches_fgls_with_identical_regressors(self, rng):
         system = identical_regressor_system(rng)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from asymcause import (
@@ -12,6 +14,7 @@ from asymcause import (
     HypothesisSpec,
     SingularityError,
     build_design,
+    catalog,
     chisq_sf,
     decompose,
     restriction_for,
@@ -23,10 +26,16 @@ from asymcause import (
 from conftest import exog_two_equation_system
 
 
-def standard_layout(p_pos=1, p_neg=1, extra=1, t_obs=303, seed=0):
+def standard_components(t_obs=303, seed=0):
     series = simulate_dgp(DgpConfig(m=2, drift=(0.1, 0.1), t_obs=t_obs, seed=seed))
-    comps = [decompose(s, DeterministicSpec("drift")) for s in series]
-    return build_design(comps, p_pos, p_neg, extra_lags=extra)
+    return [decompose(s, DeterministicSpec("drift")) for s in series]
+
+
+def standard_layout(p_pos=1, p_neg=1, extra=1, t_obs=303, seed=0):
+    return build_design(standard_components(t_obs, seed), p_pos, p_neg, extra)
+
+
+STANDARD_COMPONENTS = standard_components()
 
 
 def single_coefficient_estimate(value, variance):
@@ -34,7 +43,7 @@ def single_coefficient_estimate(value, variance):
         coefficients=np.array([value]),
         covariance=np.array([[variance]]),
         omega=np.array([[1.0]]),
-        residuals=(np.zeros(10),),
+        residuals=np.zeros((10, 1)),
         estimator="ols",
     )
 
@@ -118,14 +127,41 @@ class TestRestrictionBuilder:
         joint = restriction_for("H9", system.layout, sum_restrictions=True)
         assert joint.dof == 4
 
-    def test_restrictions_avoid_intercepts_and_augmented_lags(self):
-        system = standard_layout()
-        for hid in HYPOTHESIS_IDS:
-            spec = restriction_for(hid, system.layout)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p_pos=st.integers(1, 4),
+        p_neg=st.integers(1, 4),
+        extra=st.integers(0, 2),
+        sums=st.booleans(),
+    )
+    def test_catalog_composition(self, p_pos, p_neg, extra, sums):
+        system = build_design(STANDARD_COMPONENTS, p_pos, p_neg, extra)
+        specs = dict(zip(HYPOTHESIS_IDS, catalog(system.layout, None, sums)))
+        # the joint nulls stack their parts, row for row and text for text
+        for joint, parts in (("H3", ("H1", "H2")), ("H7", ("H5", "H6")),
+                             ("H9", ("H3", "H7")), ("H10", ("H4", "H8"))):
+            np.testing.assert_array_equal(
+                specs[joint].restriction,
+                np.vstack([specs[p].restriction for p in parts]),
+            )
+            assert specs[joint].null == " and ".join(specs[p].null for p in parts)
+        assert specs["H1"].dof == (1 if sums else p_pos)
+        assert specs["H2"].dof == (1 if sums else p_neg)
+        # a symmetry row is +1 on the P+ lags of the positive equation and -1
+        # on the P- lags of the negative one, so it sums to P+ - P-
+        for hid in ("H4", "H8", "H10"):
+            for row in specs[hid].restriction:
+                plus, minus = np.flatnonzero(row == 1.0), np.flatnonzero(row == -1.0)
+                assert {system.layout[k].eq_sign for k in plus} == {"+"}
+                assert {system.layout[k].eq_sign for k in minus} == {"-"}
+                assert row.sum() == p_pos - p_neg
+        # only restricted cross-variable lags: no intercept, own lag or
+        # augmentation lag is ever restricted
+        for spec in specs.values():
             touched = np.flatnonzero(np.any(spec.restriction != 0.0, axis=0))
             for idx in touched:
                 entry = system.layout[idx]
-                assert entry.restricted and entry.reg_var is not None
+                assert entry.restricted and entry.reg_var not in (None, entry.eq_var)
 
     def test_labels_use_variable_names(self):
         system = standard_layout()
@@ -208,7 +244,7 @@ class TestWaldTest:
             coefficients=np.array([1.0, 1.0]),
             covariance=np.zeros((2, 2)),
             omega=np.eye(2),
-            residuals=(np.zeros(5), np.zeros(5)),
+            residuals=np.zeros((5, 2)),
             estimator="fgls",
         )
         spec = HypothesisSpec("H1", np.array([[1.0, 0.0]]), 1, "x")
@@ -232,8 +268,8 @@ class TestCatalog:
         system = standard_layout()
         from asymcause import fgls_fit
 
-        results = run_catalog(fgls_fit(system), system.layout,
-                              system.variable_names)
+        specs = catalog(system.layout, system.variable_names)
+        results = run_catalog(fgls_fit(system), specs)
         assert [r.hypothesis.id for r in results] == list(HYPOTHESIS_IDS)
         assert [r.dof for r in results] == [1, 1, 2, 1, 1, 1, 2, 1, 4, 2]
 
@@ -243,10 +279,10 @@ class TestCatalog:
             coefficients=np.zeros(20),
             covariance=np.eye(20),
             omega=np.eye(4),
-            residuals=tuple(np.zeros(system.effective_sample) for _ in range(4)),
+            residuals=np.zeros((system.effective_sample, 4)),
             estimator="fgls",
         )
-        for result in run_catalog(estimate, system.layout):
+        for result in run_catalog(estimate, catalog(system.layout)):
             assert result.statistic == 0.0
             assert result.p_value == 1.0
 
@@ -257,7 +293,7 @@ class TestCatalog:
             coefficients=rng.standard_normal(20) * 0.1,
             covariance=np.diag(rng.uniform(0.5, 2.0, 20)),
             omega=np.eye(4),
-            residuals=tuple(np.zeros(system.effective_sample) for _ in range(4)),
+            residuals=np.zeros((system.effective_sample, 4)),
             estimator="fgls",
         )
         h1 = wald_test(estimate, restriction_for("H1", system.layout)).statistic
