@@ -43,7 +43,6 @@ from .sure import (
     gls_solve,
     lag_order_table,
     ols_fit,
-    select_lags,
 )
 from .wald import (
     HYPOTHESIS_IDS,
@@ -78,7 +77,6 @@ __all__ = [
     "gls_solve",
     "lag_order_table",
     "ols_fit",
-    "select_lags",
     "HYPOTHESIS_IDS",
     "HypothesisSpec",
     "WaldResult",

@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -42,8 +43,6 @@ class AnalysisConfig:
     fixed_lags: Optional[tuple[int, int]] = None
     extra_lags: int = 1
     estimator: str = "auto"
-    level: float = 0.05
-    output_format: str = "text"
     date_column: str = "DATE"
     value_column: str = "VALUE"
     names: Optional[tuple[str, ...]] = None
@@ -52,18 +51,21 @@ class AnalysisConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        if len(self.inputs) < 2:
-            raise ValueError("need at least two input files")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must be in (0, 1)")
+        if len(self.inputs) != 2:
+            raise ValueError(
+                "the ten-hypothesis catalog is defined for exactly two series; "
+                f"got {len(self.inputs)} inputs"
+            )
         if self.estimator not in ("fgls", "garch_t", "auto"):
             raise ValueError("estimator must be fgls, garch_t or auto")
-        if self.output_format not in ("text", "json"):
-            raise ValueError("format must be text or json")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
+            if len(self.names) != len(self.inputs):
+                raise ValueError(
+                    f"got {len(self.names)} names for {len(self.inputs)} inputs"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -75,7 +77,6 @@ class AnalysisConfig:
             "fixed_lags": list(self.fixed_lags) if self.fixed_lags else None,
             "extra_lags": self.extra_lags,
             "estimator": self.estimator,
-            "level": self.level,
             "date_column": self.date_column,
             "value_column": self.value_column,
             "names": list(self.names) if self.names else None,
@@ -121,6 +122,16 @@ def parse_report(text: str) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _date_keys(labels: list[str]) -> list:
+    """What date labels are ordered by: numbers, ISO dates or the labels."""
+    for parse in (float, date.fromisoformat):
+        try:
+            return [parse(label) for label in labels]
+        except ValueError:
+            pass
+    return labels
+
+
 def load_csv(
     path: str,
     date_column: str = "DATE",
@@ -130,7 +141,9 @@ def load_csv(
     """Read one DATE,VALUE series; strict about gaps and ordering.
 
     Missing markers ("." or empty) and malformed numbers are rejected with
-    their row number; dates must be strictly increasing as opaque labels.
+    their row number.  Dates must be strictly increasing: as numbers if every
+    label is numeric, as dates if every label is an ISO date, otherwise as
+    strings.
     If the requested value column is absent from a two-column file, the
     non-date column is used (FRED names it after the series id).
     """
@@ -160,6 +173,7 @@ def load_csv(
             )
         dates: list[str] = []
         values: list[float] = []
+        row_numbers: list[int] = []
         for row_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -175,13 +189,16 @@ def load_csv(
                 raise DataError(
                     f"{path}: malformed value {raw!r} at row {row_number}"
                 ) from None
-            if dates and stamp <= dates[-1]:
-                raise DataError(
-                    f"{path}: dates not strictly increasing at row {row_number} "
-                    f"({dates[-1]!r} then {stamp!r})"
-                )
             dates.append(stamp)
             values.append(value)
+            row_numbers.append(row_number)
+    keys = _date_keys(dates)
+    for i in range(1, len(keys)):
+        if not keys[i] > keys[i - 1]:
+            raise DataError(
+                f"{path}: dates not strictly increasing at row {row_numbers[i]} "
+                f"({dates[i - 1]!r} then {dates[i]!r})"
+            )
     series_name = name or (
         header[value_idx] if header[value_idx].upper() != "VALUE" else file_path.stem
     )
@@ -210,11 +227,6 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         load_csv(path, config.date_column, config.value_column, name)
         for path, name in zip(config.inputs, names)
     ]
-    if len(series) != 2:
-        raise DataError(
-            "the ten-hypothesis catalog is defined for exactly two series; "
-            f"got {len(series)} inputs"
-        )
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
         raise DataError(
@@ -270,8 +282,8 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         estimate = garch_fit.mean
         diagnostics["estimation"] = {
             "estimator": "garch_t_ml",
-            "iterations": garch_fit.iterations,
-            "converged": garch_fit.converged,
+            "iterations": estimate.iterations,
+            "converged": estimate.converged,
             "loglik": float(garch_fit.loglik),
             "nu": float(garch_fit.garch.nu),
         }
@@ -491,7 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--estimator", choices=["fgls", "garch_t", "auto"], default="auto"
     )
-    run.add_argument("--level", type=float, default=0.05)
     run.add_argument("--arch-lags", type=int, default=1)
     run.add_argument("--sum-restrictions", action="store_true")
     run.add_argument("--format", choices=["text", "json"], default="text")
@@ -548,8 +559,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         fixed_lags=tuple(args.fixed_lags) if args.fixed_lags else None,
         extra_lags=args.extra_lags,
         estimator=args.estimator,
-        level=args.level,
-        output_format=args.format,
         date_column=args.date_column,
         value_column=args.value_column,
         names=tuple(args.names) if args.names else None,
@@ -557,7 +566,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         arch_lags=args.arch_lags,
     )
     report = run_pipeline(config)
-    _emit(render_report(report, config.output_format), args.out)
+    _emit(render_report(report, args.format), args.out)
     return 0
 
 
@@ -633,7 +642,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_decompose(args)
         if args.command == "mc-size":
             return _cmd_mc_size(args)
-    except AsymCauseError as exc:
+    # the library raises ValueError for argument values it rejects
+    except (AsymCauseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -85,8 +85,6 @@ class GarchFit:
     garch: GarchSpec
     loglik: float
     information: np.ndarray  # over all transformed parameters, mean block first
-    converged: bool
-    iterations: int
     trace: tuple[float, ...] = ()  # log-likelihood at accepted iterates
 
     def __post_init__(self):
@@ -292,8 +290,6 @@ def fit_sure_garch_t(
     system: SureSystem,
     init: Optional[CoefficientEstimate] = None,
     max_iter: int = 500,
-    gtol: float = 1e-5,
-    ftol_rel: float = 1e-10,
 ) -> GarchFit:
     """Maximize the GARCH-t likelihood over transformed parameters.
 
@@ -321,11 +317,9 @@ def fit_sure_garch_t(
         except (LikelihoodError, OverflowError, ValueError):
             return np.inf
 
-    result = minimize_bfgs(
-        objective, theta0, gtol=gtol, ftol_rel=ftol_rel, max_iter=max_iter
-    )
+    result = minimize_bfgs(objective, theta0, max_iter=max_iter)
     mean_hat, spec_hat = constrain_params(result.x, k_mean, n)
-    information = central_hessian(objective, result.x, rel_step=1e-4)
+    information = central_hessian(objective, result.x)
     try:
         info_inv = np.linalg.inv(information)
     except np.linalg.LinAlgError:
@@ -347,8 +341,6 @@ def fit_sure_garch_t(
         garch=spec_hat,
         loglik=-result.fun,
         information=information,
-        converged=result.converged,
-        iterations=result.iterations,
         trace=tuple(-f for f in result.f_trace),
     )
 

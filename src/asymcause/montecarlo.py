@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import DeterministicSpec, Series, decompose
-from .sure import build_design, fgls_fit, ols_fit, select_lags
+from .sure import build_design, fgls_fit, lag_order_table, ols_fit
 from .wald import HYPOTHESIS_IDS, HypothesisSpec, catalog, run_catalog
 
 ERROR_TAILS = ("gaussian", "t")
@@ -102,10 +102,8 @@ def empirical_size(
     deterministic: DeterministicSpec = DeterministicSpec("drift"),
     fixed_lags: Optional[tuple[int, int]] = (1, 1),
     p_max: Optional[int] = None,
-    criterion: str = "sbc",
     extra_lags: int = 1,
     estimator: str = "fgls",
-    sum_restrictions: bool = False,
 ) -> dict[str, float]:
     """Rejection rate of each catalog hypothesis over seeded replications.
 
@@ -133,13 +131,13 @@ def empirical_size(
         else:
             if p_max is None:
                 raise ValueError("either fixed_lags or p_max must be given")
-            p_pos, p_neg = select_lags(components, p_max, criterion)
+            p_pos, p_neg = lag_order_table(components, p_max)["selected"]
         system = build_design(components, p_pos, p_neg, extra_lags)
         fit = fgls_fit(system) if estimator == "fgls" else ols_fit(system)
         specs = catalogs.get((p_pos, p_neg))
         if specs is None:
             specs = catalogs[p_pos, p_neg] = catalog(
-                system.layout, system.variable_names, sum_restrictions
+                system.layout, system.variable_names
             )
         for result in run_catalog(fit, specs):
             if result.p_value < level:

@@ -13,6 +13,11 @@ from typing import Callable
 
 import numpy as np
 
+GTOL = 1e-5  # converged when max |gradient component| falls below this
+FTOL_REL = 1e-10  # ... or when one step changes f by less than this * max(1, |f|)
+GRADIENT_STEP = 1e-5  # central-difference steps are these * max(1, |x_i|)
+HESSIAN_STEP = 1e-4
+
 
 @dataclass
 class OptimResult:
@@ -26,13 +31,11 @@ class OptimResult:
     n_evals: int
 
 
-def central_gradient(
-    fun: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = 1e-5
-) -> np.ndarray:
+def central_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for i in range(x.size):
-        h = rel_step * max(1.0, abs(x[i]))
+        h = GRADIENT_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -41,12 +44,10 @@ def central_gradient(
     return grad
 
 
-def central_hessian(
-    fun: Callable[[np.ndarray], float], x: np.ndarray, rel_step: float = 1e-4
-) -> np.ndarray:
+def central_hessian(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     k = x.size
-    steps = np.array([rel_step * max(1.0, abs(xi)) for xi in x])
+    steps = np.array([HESSIAN_STEP * max(1.0, abs(xi)) for xi in x])
     hess = np.empty((k, k))
     f0 = fun(x)
     for i in range(k):
@@ -73,12 +74,7 @@ def central_hessian(
 
 
 def minimize_bfgs(
-    fun: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    gtol: float = 1e-5,
-    ftol_rel: float = 1e-10,
-    max_iter: int = 500,
-    grad_rel_step: float = 1e-5,
+    fun: Callable[[np.ndarray], float], x0: np.ndarray, max_iter: int = 500
 ) -> OptimResult:
     """Minimize fun from x0; stop on small gradient or small relative change.
 
@@ -97,7 +93,7 @@ def minimize_bfgs(
     f_x = f(x)
     if not np.isfinite(f_x):
         raise ValueError("objective is not finite at the starting point")
-    grad = central_gradient(f, x, grad_rel_step)
+    grad = central_gradient(f, x)
     h_inv = np.eye(k)
     trace = [f_x]
     message = "maximum iterations reached"
@@ -106,7 +102,7 @@ def minimize_bfgs(
     first_update = True
 
     while iteration < max_iter:
-        if np.max(np.abs(grad)) < gtol:
+        if np.max(np.abs(grad)) < GTOL:
             converged, message = True, "gradient norm below tolerance"
             break
         iteration += 1
@@ -129,7 +125,7 @@ def minimize_bfgs(
         if not accepted:
             message = "line search failed to make progress"
             break
-        grad_new = central_gradient(f, x_new, grad_rel_step)
+        grad_new = central_gradient(f, x_new)
         step = x_new - x
         y = grad_new - grad
         sy = float(step @ y)
@@ -146,7 +142,7 @@ def minimize_bfgs(
         f_change = abs(f_x - f_new)
         x, f_x, grad = x_new, f_new, grad_new
         trace.append(f_x)
-        if f_change < ftol_rel * max(1.0, abs(f_x)):
+        if f_change < FTOL_REL * max(1.0, abs(f_x)):
             converged, message = True, "relative objective change below tolerance"
             break
 

@@ -304,13 +304,6 @@ def lag_order_table(
     }
 
 
-def select_lags(
-    components: Sequence[SignedComponents], p_max: int, criterion: str = "sbc"
-) -> tuple[int, int]:
-    """Pick (P+, P-) by minimizing the criterion independently per sign block."""
-    return lag_order_table(components, p_max, criterion)["selected"]
-
-
 def ols_fit(system: SureSystem) -> CoefficientEstimate:
     """Equation-by-equation least squares; consistent but not efficient."""
     labels = system.equation_labels()

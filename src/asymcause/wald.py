@@ -49,28 +49,32 @@ class WaldResult:
     estimate_provenance: str
 
 
-def _gamma_p_series(a: float, x: float, eps: float = 1e-15, max_iter: int = 800) -> float:
+_GAMMA_EPS = 1e-15  # both expansions stop once a step moves the result by less
+_GAMMA_MAX_ITER = 800
+
+
+def _gamma_p_series(a: float, x: float) -> float:
     """Lower regularized incomplete gamma P(a, x) by its power series."""
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(max_iter):
+    for _ in range(_GAMMA_MAX_ITER):
         denom += 1.0
         term *= x / denom
         total += term
-        if abs(term) < abs(total) * eps:
+        if abs(term) < abs(total) * _GAMMA_EPS:
             break
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def _gamma_q_contfrac(a: float, x: float, eps: float = 1e-15, max_iter: int = 800) -> float:
+def _gamma_q_contfrac(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x) by modified Lentz continued fraction."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b if b != 0.0 else 1.0 / tiny
     h = d
-    for i in range(1, max_iter + 1):
+    for i in range(1, _GAMMA_MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -82,7 +86,7 @@ def _gamma_q_contfrac(a: float, x: float, eps: float = 1e-15, max_iter: int = 80
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < _GAMMA_EPS:
             break
     return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
 

@@ -196,6 +196,7 @@ def test_criterion_08_empirical_power():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_09_garch_recovery():
     truth = GarchSpec(
         omega=np.array([0.05, 0.05]),

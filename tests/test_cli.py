@@ -1,5 +1,6 @@
 """CSV ingestion, pipeline orchestration, report rendering, subcommands."""
 
+import dataclasses
 import json
 import warnings
 
@@ -76,7 +77,20 @@ class TestLoadCsv:
         path.write_text(
             "DATE,VALUE\n1999-03-01,1.0\n1999-05-01,2.0\n1999-04-01,3.0\n"
         )
-        with pytest.raises(DataError, match="strictly increasing"):
+        with pytest.raises(DataError, match="strictly increasing at row 4"):
+            load_csv(str(path))
+        path.write_text(
+            "DATE,VALUE\n1999-03-01,1.0\n1999-04-01,2.0\n1999-04-01,3.0\n"
+        )
+        with pytest.raises(DataError, match="strictly increasing at row 4"):
+            load_csv(str(path))
+
+    def test_numeric_labels_ordered_as_numbers(self, tmp_path):
+        path = tmp_path / "numbered.csv"
+        path.write_text("DATE,VALUE\n" + "".join(f"{i},{i}.0\n" for i in range(1, 13)))
+        assert load_csv(str(path)).timestamps[8:] == ("9", "10", "11", "12")
+        path.write_text("DATE,VALUE\n1,1.0\n10,2.0\n9,3.0\n")
+        with pytest.raises(DataError, match=r"at row 4 \('10' then '9'\)"):
             load_csv(str(path))
 
     def test_missing_column(self, tmp_path):
@@ -166,13 +180,6 @@ class TestPipeline:
                            match="observation 1: us='1999-03-01', later='2005-03-01'"):
             run_pipeline(config)
 
-    def test_three_inputs_rejected(self, pair_of_csvs):
-        config = AnalysisConfig(
-            inputs=tuple(pair_of_csvs) + (pair_of_csvs[0],)
-        )
-        with pytest.raises(DataError, match="exactly two"):
-            run_pipeline(config)
-
     def test_log_of_nonpositive_rejected(self, tmp_path):
         bad = tmp_path / "neg.csv"
         bad.write_text(
@@ -195,6 +202,7 @@ class TestPipeline:
         second = render_report(run_pipeline(config), "json")
         assert first == second
 
+    @pytest.mark.slow
     def test_garch_branch_end_to_end(self, tmp_path):
         # heteroskedastic pair so the GARCH path is the realistic choice
         from asymcause import GarchSpec, simulate_ccc_garch_t
@@ -290,9 +298,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AnalysisConfig(inputs=("only.csv",))
 
-    def test_level_bounds(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(inputs=("a", "b"), level=0.0)
+    def test_three_inputs_rejected(self):
+        with pytest.raises(ValueError, match="exactly two series; got 3 inputs"):
+            AnalysisConfig(inputs=("a", "b", "c"))
+
+    def test_names_count_matches_inputs(self):
+        with pytest.raises(ValueError, match="got 1 names for 2 inputs"):
+            AnalysisConfig(inputs=("a", "b"), names=("US",))
+
+    def test_to_dict_covers_every_field(self):
+        config = AnalysisConfig(inputs=("a", "b"))
+        fields = [field.name for field in dataclasses.fields(AnalysisConfig)]
+        assert list(config.to_dict()) == fields
 
     def test_estimator_names(self):
         with pytest.raises(ValueError):
@@ -353,3 +370,18 @@ class TestMainEntry:
         code = main(["run", "--input", missing, missing])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["run", "--input", "one.csv"], "exactly two series; got 1 inputs"),
+        (["run", "--input", "PAIR", "--names", "US"], "got 1 names for 2 inputs"),
+        (["run", "--input", "PAIR", "--fixed-lags", "0", "1"],
+         "lag orders must be >= 1"),
+        (["mc-size", "--reps", "0"], "reps must be >= 1"),
+        (["mc-size", "--T", "10"], "t_obs must be >= 50"),
+    ], ids=["one-input", "names-count", "zero-lag", "zero-reps", "short-sample"])
+    def test_bad_argument_values_exit_2(self, pair_of_csvs, capsys, args, message):
+        args = [a for arg in args for a in (pair_of_csvs if arg == "PAIR" else [arg])]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1

@@ -18,8 +18,8 @@ from asymcause import (
     decompose,
     fgls_fit,
     gls_solve,
+    lag_order_table,
     ols_fit,
-    select_lags,
     simulate_dgp,
 )
 from asymcause.sure import SureSystem
@@ -146,28 +146,28 @@ class TestSelectLags:
         seeds = 25
         for r in range(seeds):
             comps = components_from_walks(seed=(400, r), t_obs=500)
-            if select_lags(comps, 6, "sbc") == (1, 1):
+            if lag_order_table(comps, 6, "sbc")["selected"] == (1, 1):
                 hits += 1
         assert hits >= 0.9 * seeds
 
     def test_p_max_one_is_trivial(self):
         comps = components_from_walks(seed=8)
-        assert select_lags(comps, 1, "sbc") == (1, 1)
+        assert lag_order_table(comps, 1, "sbc")["selected"] == (1, 1)
 
     def test_p_max_too_large(self):
         comps = components_from_walks(seed=9, t_obs=60)
         with pytest.raises(InsufficientDataError):
-            select_lags(comps, 25, "sbc")
+            lag_order_table(comps, 25, "sbc")
 
     def test_unknown_criterion(self):
         comps = components_from_walks(seed=10)
         with pytest.raises(ValueError, match="criterion"):
-            select_lags(comps, 2, "cp")
+            lag_order_table(comps, 2, "cp")
 
     @pytest.mark.parametrize("criterion", ["aic", "sbc", "hq"])
     def test_all_criteria_run(self, criterion):
         comps = components_from_walks(seed=11, t_obs=400)
-        p_pos, p_neg = select_lags(comps, 4, criterion)
+        p_pos, p_neg = lag_order_table(comps, 4, criterion)["selected"]
         assert 1 <= p_pos <= 4 and 1 <= p_neg <= 4
 
 
