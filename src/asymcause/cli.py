@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -20,15 +21,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .decomposition import DeterministicSpec, Series, decompose
+from .decomposition import DETERMINISTIC_KINDS, DeterministicSpec, Series, decompose
 from .errors import AsymCauseError, DataError
 from .mgarch import arch_lm_diag, fit_sure_garch_t
-from .montecarlo import DgpConfig, empirical_size
+from .montecarlo import ERROR_TAILS, STUDY_ESTIMATORS, DgpConfig, empirical_size
 from .sure import CRITERIA, build_design, fgls_fit, lag_order_table
 from .wald import catalog, run_catalog
 
 P_VALUE_FLOOR = 1e-5  # below this the text renderer prints "< 0.00001"
 ARCH_GATE_LEVEL = 0.05  # fixed gate for the auto estimator choice
+RUN_ESTIMATORS = ("fgls", "garch_t", "auto")
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ class AnalysisConfig:
                 "the ten-hypothesis catalog is defined for exactly two series; "
                 f"got {len(self.inputs)} inputs"
             )
-        if self.estimator not in ("fgls", "garch_t", "auto"):
-            raise ValueError("estimator must be fgls, garch_t or auto")
+        if self.estimator not in RUN_ESTIMATORS:
+            raise ValueError(f"estimator must be one of {RUN_ESTIMATORS}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.names is not None:
@@ -278,7 +280,11 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         }
         estimator_used = "garch_t" if arch.p_value < ARCH_GATE_LEVEL else "fgls"
     if estimator_used == "garch_t":
-        garch_fit = fit_sure_garch_t(system, init=fgls)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")  # each distinct warning, once
+            garch_fit = fit_sure_garch_t(system, init=fgls)
+        for warning in caught:
+            diagnostics.setdefault("warnings", []).append(str(warning.message))
         estimate = garch_fit.mean
         diagnostics["estimation"] = {
             "estimator": "garch_t_ml",
@@ -318,20 +324,17 @@ def run_pipeline(config: AnalysisConfig) -> Report:
             "id": r.hypothesis.id,
             "null": r.hypothesis.null,
             "statistic": float(r.statistic),
-            "dof": int(r.dof),
+            "dof": int(r.hypothesis.dof),
             "p_value": float(r.p_value),
             "implication": r.hypothesis.label,
         }
         for r in results
     ]
-    first, last = None, None
-    if series[0].timestamps:
-        first, last = series[0].timestamps[0], series[0].timestamps[-1]
     provenance = {
         "variables": list(system.variable_names),
         "sample": {
-            "start": first,
-            "end": last,
+            "start": series[0].timestamps[0],
+            "end": series[0].timestamps[-1],
             "observations": len(series[0]),
             "effective_sample": system.effective_sample,
         },
@@ -467,15 +470,15 @@ def render_report(report: Report, output_format: str = "text") -> str:
 # ---------------------------------------------------------------------------
 
 
+def _add_deterministic_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--deterministic", choices=DETERMINISTIC_KINDS, default="drift")
+
+
 def _add_common_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--date-column", default="DATE")
     parser.add_argument("--value-column", default="VALUE")
     parser.add_argument("--log", action="store_true", help="natural-log transform")
-    parser.add_argument(
-        "--deterministic",
-        choices=["none", "drift", "drift_and_trend"],
-        default="drift",
-    )
+    _add_deterministic_flag(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -500,9 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip selection and use these lag orders",
     )
     run.add_argument("--extra-lags", type=int, default=1)
-    run.add_argument(
-        "--estimator", choices=["fgls", "garch_t", "auto"], default="auto"
-    )
+    run.add_argument("--estimator", choices=RUN_ESTIMATORS, default="auto")
     run.add_argument("--arch-lags", type=int, default=1)
     run.add_argument("--sum-restrictions", action="store_true")
     run.add_argument("--format", choices=["text", "json"], default="text")
@@ -524,18 +525,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--error-correlation", type=float, default=0.0, metavar="RHO",
         help="cross-correlation of the two innovation series",
     )
-    mc.add_argument("--tail", choices=["gaussian", "t"], default="gaussian")
+    mc.add_argument("--tail", choices=ERROR_TAILS, default="gaussian")
     mc.add_argument("--df", type=float, default=5.0)
     mc.add_argument("--feedback", type=float, help="power study: inject this "
                     "coefficient of variable 2's lagged positive shocks")
     mc.add_argument("--fixed-lags", nargs=2, type=int, default=[1, 1])
     mc.add_argument("--extra-lags", type=int, default=1)
-    mc.add_argument("--estimator", choices=["fgls", "ols"], default="fgls")
-    mc.add_argument(
-        "--deterministic",
-        choices=["none", "drift", "drift_and_trend"],
-        default="drift",
-    )
+    mc.add_argument("--estimator", choices=STUDY_ESTIMATORS, default="fgls")
+    _add_deterministic_flag(mc)
     mc.add_argument("--format", choices=["text", "json"], default="text")
     mc.add_argument("--out")
     return parser
@@ -575,9 +572,10 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.log:
         series = _log_series(series)
     components = decompose(series, DeterministicSpec(args.deterministic))
-    stamps = series.timestamps or tuple(str(i) for i in range(len(series)))
     rows = ["DATE,POSITIVE,NEGATIVE"]
-    for stamp, pos, neg in zip(stamps, components.positive, components.negative):
+    for stamp, pos, neg in zip(
+        series.timestamps, components.positive, components.negative
+    ):
         rows.append(f"{stamp},{float(pos)!r},{float(neg)!r}")
     _emit("\n".join(rows), args.out)
     if components.degenerate_warning:

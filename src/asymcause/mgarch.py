@@ -22,7 +22,7 @@ from .errors import (
     SingularityError,
 )
 from .optim import central_hessian, minimize_bfgs
-from .sure import CoefficientEstimate, SureSystem, fgls_fit
+from .sure import CoefficientEstimate, SureSystem, _lagged_design, fgls_fit
 from .wald import chisq_sf
 
 _INTERIOR = 1e-12  # probabilities are clipped into the open unit interval
@@ -401,9 +401,7 @@ def arch_lm_diag(residuals: np.ndarray, lags: int = 1) -> ArchLmResult:
             f"{lags} lag(s) of {m} outer-product terms"
         )
     y = v[lags:]
-    x = np.column_stack(
-        [np.ones(t_aux)] + [v[lags - lag : t_obs - lag] for lag in range(1, lags + 1)]
-    )
+    x = _lagged_design(v, lags, lags)
     centered = y - y.mean(axis=0)
     omega_null = centered.T @ centered / t_aux
     try:

@@ -19,6 +19,7 @@ from .sure import build_design, fgls_fit, lag_order_table, ols_fit
 from .wald import HYPOTHESIS_IDS, HypothesisSpec, catalog, run_catalog
 
 ERROR_TAILS = ("gaussian", "t")
+STUDY_ESTIMATORS = ("fgls", "ols")
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def empirical_size(
         raise ValueError("reps must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    if estimator not in ("fgls", "ols"):
+    if estimator not in STUDY_ESTIMATORS:
         raise ValueError("estimator must be 'fgls' or 'ols'")
     base_seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     rejections = {hid: 0 for hid in HYPOTHESIS_IDS}

@@ -33,43 +33,27 @@ class OptimResult:
 
 def central_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = GRADIENT_STEP * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return grad
+    probes = np.diag(GRADIENT_STEP * np.maximum(1.0, np.abs(x)))
+    return np.array(
+        [(fun(x + e) - fun(x - e)) / (2.0 * e[i]) for i, e in enumerate(probes)]
+    )
 
 
 def central_hessian(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     k = x.size
-    steps = np.array([HESSIAN_STEP * max(1.0, abs(xi)) for xi in x])
+    steps = HESSIAN_STEP * np.maximum(1.0, np.abs(x))
+    probes = np.diag(steps)
     hess = np.empty((k, k))
     f0 = fun(x)
     for i in range(k):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += steps[i]
-        xm[i] -= steps[i]
-        hess[i, i] = (fun(xp) - 2.0 * f0 + fun(xm)) / steps[i] ** 2
+        ei = probes[i]
+        hess[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / steps[i] ** 2
         for j in range(i + 1, k):
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[[i, j]] += [steps[i], steps[j]]
-            xpm[i] += steps[i]
-            xpm[j] -= steps[j]
-            xmp[i] -= steps[i]
-            xmp[j] += steps[j]
-            xmm[[i, j]] -= [steps[i], steps[j]]
-            hess[i, j] = hess[j, i] = (fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)) / (
-                4.0 * steps[i] * steps[j]
-            )
+            ej = probes[j]
+            hess[i, j] = hess[j, i] = (
+                fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej) + fun(x - ei - ej)
+            ) / (4.0 * steps[i] * steps[j])
     return (hess + hess.T) / 2.0
 
 

@@ -34,14 +34,12 @@ def _slope_symbol(eq_var: int) -> str:
 
 @dataclass(frozen=True)
 class LayoutEntry:
-    """One coefficient slot: which equation, which regressor, which lag."""
+    """One coefficient slot: its name, its equation and its regressor."""
 
     name: str
-    equation: int  # 0-based equation index
     eq_var: int  # 1-based variable of the dependent component
     eq_sign: str  # "+" or "-"
     reg_var: int | None  # 1-based regressor variable, None for the intercept
-    lag: int  # 0 for the intercept
     restricted: bool  # True for lags 1..P, False for intercept and extra lags
 
 
@@ -52,15 +50,12 @@ class SureSystem:
     Also holds the per-block cross-products, formed once at construction:
     block (i, j) of the k x k ``gram`` is X_i'X_j and of the k x n ``xty``
     is X_i'y_j.  ``slices`` and ``equation_index`` map the stacked
-    coefficients to their equations.
+    coefficients to their equations.  Every equation has the same rows.
     """
 
     regressands: tuple[np.ndarray, ...]
     regressors: tuple[np.ndarray, ...]
     layout: tuple[LayoutEntry, ...]
-    lag_orders: tuple[int, int]
-    extra_lags: int
-    effective_sample: int
     variable_names: tuple[str, ...] = ()
     slices: tuple[slice, ...] = field(init=False, compare=False, repr=False)
     equation_index: np.ndarray = field(init=False, compare=False, repr=False)
@@ -73,10 +68,11 @@ class SureSystem:
         if len(ys) != len(xs):
             raise ValueError("regressands and regressors count mismatch")
         for i, (y, x) in enumerate(zip(ys, xs)):
-            if y.shape != (self.effective_sample,):
-                raise ValueError(f"equation {i}: regressand length != effective sample")
-            if x.shape[0] != self.effective_sample:
-                raise ValueError(f"equation {i}: design rows != effective sample")
+            if y.shape != (len(ys[0]),):
+                raise ValueError(f"equation {i}: regressand is not a vector of "
+                                 f"{len(ys[0])} rows like equation 0's")
+            if x.shape[0] != len(y):
+                raise ValueError(f"equation {i}: design rows != regressand rows")
         widths = [x.shape[1] for x in xs]
         if sum(widths) != len(self.layout):
             raise ValueError("layout size does not match total coefficient count")
@@ -91,6 +87,10 @@ class SureSystem:
         object.__setattr__(self, "gram", np.block([[a.T @ b for b in xs] for a in xs]))
         xty = np.vstack([np.column_stack([x.T @ y for y in ys]) for x in xs])
         object.__setattr__(self, "xty", xty)
+
+    @property
+    def effective_sample(self) -> int:
+        return len(self.regressands[0])
 
     @property
     def n_equations(self) -> int:
@@ -111,8 +111,8 @@ class SureSystem:
 
     def equation_labels(self) -> list[str]:
         labels = []
-        for i in range(self.n_equations):
-            entry = next(e for e in self.layout if e.equation == i)
+        for sl in self.slices:
+            entry = self.layout[sl.start]
             name = ""
             if self.variable_names and entry.eq_var <= len(self.variable_names):
                 name = f" ({self.variable_names[entry.eq_var - 1]})"
@@ -151,6 +151,15 @@ class CoefficientEstimate:
         object.__setattr__(self, "residuals", residuals)
 
 
+def _lagged_design(block: np.ndarray, start: int, depth: int) -> np.ndarray:
+    """[1, block lag 1, ..., block lag depth] for rows start.. of a (T, m) block."""
+    n_obs = block.shape[0]
+    return np.column_stack(
+        [np.ones(n_obs - start)]
+        + [block[start - lag : n_obs - lag] for lag in range(1, depth + 1)]
+    )
+
+
 def build_design(
     components: Sequence[SignedComponents],
     p_pos: int,
@@ -182,7 +191,6 @@ def build_design(
     regressands: list[np.ndarray] = []
     regressors: list[np.ndarray] = []
     layout: list[LayoutEntry] = []
-    equation = 0
     for sign, depth, order in (("+", p_pos + extra_lags, p_pos),
                                ("-", p_neg + extra_lags, p_neg)):
         k_eq = 1 + m * depth
@@ -192,46 +200,29 @@ def build_design(
                 f"(length {n_obs}, lags {max(p_pos, p_neg)}+{extra_lags})"
             )
         data = [c.positive if sign == "+" else c.negative for c in components]
+        design = _lagged_design(np.column_stack(data), start, depth)
         for i in range(m):
             eq_var = i + 1
             symbol = _slope_symbol(eq_var)
             regressands.append(data[i][start:])
-            cols = [np.ones(t_eff)]
+            # one array per equation: when two equations share one, numpy
+            # forms X_i'X_j by syrk instead of gemm, which rounds differently
+            regressors.append(design.copy())
             layout.append(
-                LayoutEntry(
-                    name=f"lambda{sign}_{eq_var}",
-                    equation=equation,
-                    eq_var=eq_var,
-                    eq_sign=sign,
-                    reg_var=None,
-                    lag=0,
-                    restricted=False,
-                )
+                LayoutEntry(f"lambda{sign}_{eq_var}", eq_var, sign, None, False)
             )
-            for lag in range(1, depth + 1):
-                for j in range(m):
-                    cols.append(data[j][start - lag : n_obs - lag])
-                    layout.append(
-                        LayoutEntry(
-                            name=f"{symbol}{sign}_{j + 1},{lag}",
-                            equation=equation,
-                            eq_var=eq_var,
-                            eq_sign=sign,
-                            reg_var=j + 1,
-                            lag=lag,
-                            restricted=lag <= order,
-                        )
-                    )
-            regressors.append(np.column_stack(cols))
-            equation += 1
+            layout.extend(
+                LayoutEntry(
+                    f"{symbol}{sign}_{j + 1},{lag}", eq_var, sign, j + 1, lag <= order
+                )
+                for lag in range(1, depth + 1)
+                for j in range(m)
+            )
 
     return SureSystem(
         regressands=tuple(regressands),
         regressors=tuple(regressors),
         layout=tuple(layout),
-        lag_orders=(p_pos, p_neg),
-        extra_lags=extra_lags,
-        effective_sample=t_eff,
         variable_names=names,
     )
 
@@ -255,10 +246,7 @@ def _block_criterion_values(
     y = block[p_max:]
     values = np.empty(p_max)
     for p in range(1, p_max + 1):
-        cols = [np.ones(t_c)]
-        for lag in range(1, p + 1):
-            cols.append(block[p_max - lag : n_obs - lag])
-        x = np.column_stack(cols)
+        x = _lagged_design(block, p_max, p)
         coef, *_ = np.linalg.lstsq(x, y, rcond=None)
         resid = y - x @ coef
         sigma = resid.T @ resid / t_c

@@ -25,7 +25,6 @@ class HypothesisSpec:
 
     id: str
     restriction: np.ndarray  # q x K matrix of 0/+1/-1 entries
-    dof: int
     label: str
     null: str = ""  # human-readable form of the restrictions
 
@@ -33,20 +32,21 @@ class HypothesisSpec:
         r = np.asarray(self.restriction, dtype=float)
         if r.ndim != 2:
             raise ValueError("restriction must be a matrix")
-        if r.shape[0] != self.dof:
-            raise ValueError("dof must equal the restriction row count")
         if np.linalg.matrix_rank(r) != r.shape[0]:
             raise ValueError(f"{self.id}: restriction matrix is not full row rank")
         object.__setattr__(self, "restriction", r)
+
+    @property
+    def dof(self) -> int:
+        """Chi-square degrees of freedom: one per restriction row."""
+        return self.restriction.shape[0]
 
 
 @dataclass(frozen=True)
 class WaldResult:
     statistic: float
-    dof: int
     p_value: float
     hypothesis: HypothesisSpec
-    estimate_provenance: str
 
 
 _GAMMA_EPS = 1e-15  # both expansions stop once a step moves the result by less
@@ -203,7 +203,6 @@ def restriction_for(
     return HypothesisSpec(
         id=hypothesis_id,
         restriction=restriction,
-        dof=len(rows),
         label=_LABELS[hypothesis_id].format(v1=v1, v2=v2),
         null=" and ".join(text for _, _, text in rows),
     )
@@ -248,10 +247,8 @@ def wald_test(estimate: CoefficientEstimate, spec: HypothesisSpec) -> WaldResult
     statistic = float(half @ half)
     return WaldResult(
         statistic=statistic,
-        dof=spec.dof,
         p_value=chisq_sf(statistic, spec.dof),
         hypothesis=spec,
-        estimate_provenance=estimate.estimator,
     )
 
 

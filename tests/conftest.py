@@ -16,11 +16,9 @@ def intercept_system(data: np.ndarray) -> SureSystem:
         layout.append(
             LayoutEntry(
                 name=f"lambda+_{i + 1}",
-                equation=i,
                 eq_var=i + 1,
                 eq_sign="+",
                 reg_var=None,
-                lag=0,
                 restricted=False,
             )
         )
@@ -28,9 +26,6 @@ def intercept_system(data: np.ndarray) -> SureSystem:
         regressands=tuple(regressands),
         regressors=tuple(regressors),
         layout=tuple(layout),
-        lag_orders=(1, 1),
-        extra_lags=0,
-        effective_sample=t_obs,
     )
 
 
@@ -49,19 +44,12 @@ def exog_two_equation_system(rng: np.random.Generator, t_obs: int = 100,
     y1 = x1 @ b1 + errors[:, 0]
     y2 = x2 @ b2 + errors[:, 1]
     layout = (
-        LayoutEntry("lambda+_1", 0, 1, "+", None, 0, False),
-        LayoutEntry("beta+_2,1", 0, 1, "+", 2, 1, True),
-        LayoutEntry("lambda+_2", 1, 2, "+", None, 0, False),
-        LayoutEntry("gamma+_1,1", 1, 2, "+", 1, 1, True),
+        LayoutEntry("lambda+_1", 1, "+", None, False),
+        LayoutEntry("beta+_2,1", 1, "+", 2, True),
+        LayoutEntry("lambda+_2", 2, "+", None, False),
+        LayoutEntry("gamma+_1,1", 2, "+", 1, True),
     )
-    system = SureSystem(
-        regressands=(y1, y2),
-        regressors=(x1, x2),
-        layout=layout,
-        lag_orders=(1, 1),
-        extra_lags=0,
-        effective_sample=t_obs,
-    )
+    system = SureSystem(regressands=(y1, y2), regressors=(x1, x2), layout=layout)
     return system, np.concatenate([b1, b2])
 
 
@@ -75,21 +63,14 @@ def identical_regressor_system(rng: np.random.Generator, t_obs: int = 80):
     y1 = x @ np.array([1.0, 2.0, -1.0]) + errors[:, 0]
     y2 = x @ np.array([0.5, -1.0, 3.0]) + errors[:, 1]
     layout = (
-        LayoutEntry("lambda+_1", 0, 1, "+", None, 0, False),
-        LayoutEntry("beta+_1,1", 0, 1, "+", 1, 1, True),
-        LayoutEntry("beta+_2,1", 0, 1, "+", 2, 1, True),
-        LayoutEntry("lambda+_2", 1, 2, "+", None, 0, False),
-        LayoutEntry("gamma+_1,1", 1, 2, "+", 1, 1, True),
-        LayoutEntry("gamma+_2,1", 1, 2, "+", 2, 1, True),
+        LayoutEntry("lambda+_1", 1, "+", None, False),
+        LayoutEntry("beta+_1,1", 1, "+", 1, True),
+        LayoutEntry("beta+_2,1", 1, "+", 2, True),
+        LayoutEntry("lambda+_2", 2, "+", None, False),
+        LayoutEntry("gamma+_1,1", 2, "+", 1, True),
+        LayoutEntry("gamma+_2,1", 2, "+", 2, True),
     )
-    return SureSystem(
-        regressands=(y1, y2),
-        regressors=(x, x),
-        layout=layout,
-        lag_orders=(1, 1),
-        extra_lags=0,
-        effective_sample=t_obs,
-    )
+    return SureSystem(regressands=(y1, y2), regressors=(x, x), layout=layout)
 
 
 @pytest.fixture

@@ -125,20 +125,20 @@ def test_criterion_05_wald_identities():
     fit = fgls_fit(system)
     row = np.zeros((1, 4))
     row[0, 1] = 1.0
-    single = wald_test(fit, HypothesisSpec("H1", row, 1, "x"))
+    single = wald_test(fit, HypothesisSpec("H1", row, "x"))
     t_squared = fit.coefficients[1] ** 2 / fit.covariance[1, 1]
     gap_t = abs(single.statistic - t_squared)
 
     rows = np.zeros((2, 4))
     rows[0, 1] = 1.0
     rows[1, 3] = 1.0
-    base = wald_test(fit, HypothesisSpec("H3", rows, 2, "x")).statistic
+    base = wald_test(fit, HypothesisSpec("H3", rows, "x")).statistic
     worst_rel = 0.0
     for rep in range(25):
         mixer = np.random.default_rng((506, rep)).standard_normal((2, 2))
         if abs(np.linalg.det(mixer)) < 1e-3:
             continue
-        mixed = wald_test(fit, HypothesisSpec("H3", mixer @ rows, 2, "x")).statistic
+        mixed = wald_test(fit, HypothesisSpec("H3", mixer @ rows, "x")).statistic
         worst_rel = max(worst_rel, abs(mixed - base) / base)
     ok = gap_t <= 1e-10 and worst_rel <= 1e-8
     report_line(5, "Wald q=1 equals t^2 and statistic invariant to R -> MR", ok,

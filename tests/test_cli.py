@@ -233,6 +233,11 @@ class TestPipeline:
         assert report.provenance["estimator"] == "garch_t"
         assert report.diagnostics["estimation"]["estimator"] == "garch_t_ml"
         assert np.isfinite(report.diagnostics["estimation"]["loglik"])
+        # 158 observations for 39 parameters: the small-sample warning is reported
+        assert report.diagnostics["warnings"] == [
+            "effective sample 158 is below 10x the 39 free parameters; "
+            "estimates may be unstable"
+        ]
 
 
 class TestRendering:
