@@ -312,11 +312,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
                 "name": entry.name,
                 "value": float(estimate.coefficients[i]),
                 "std_error": float(np.sqrt(variance)) if variance >= 0 else None,
-                "causal": bool(
-                    entry.restricted
-                    and entry.reg_var is not None
-                    and entry.reg_var != entry.eq_var
-                ),
+                "causal": entry.causal,
             }
         )
     hypotheses_rows = [

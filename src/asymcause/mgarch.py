@@ -301,14 +301,13 @@ def fit_sure_garch_t(
     base = init if init is not None else fgls_fit(system)
     k_mean = system.n_coefficients
     n = system.n_equations
-    n_params = k_mean + 3 * n + n * (n - 1) // 2 + 1
-    if system.effective_sample < 10 * n_params:
+    theta0 = unconstrain_params(base.coefficients, _initial_spec(base.residuals))
+    if system.effective_sample < 10 * theta0.size:
         warnings.warn(
             f"effective sample {system.effective_sample} is below 10x the "
-            f"{n_params} free parameters; estimates may be unstable",
+            f"{theta0.size} free parameters; estimates may be unstable",
             stacklevel=2,
         )
-    theta0 = unconstrain_params(base.coefficients, _initial_spec(base.residuals))
 
     def objective(theta: np.ndarray) -> float:
         try:
@@ -412,9 +411,8 @@ def arch_lm_diag(residuals: np.ndarray, lags: int = 1) -> ArchLmResult:
         ) from None
     coef, *_ = np.linalg.lstsq(x, y, rcond=None)
     fitted_resid = y - x @ coef
-    omega_fit = fitted_resid.T @ fitted_resid / t_aux
-    inv_chol = np.linalg.solve(chol, np.eye(m))
-    trace = float(np.trace(inv_chol.T @ inv_chol @ omega_fit))
+    # tr(omega_null^-1 omega_fit), whitened by the Cholesky factor as in wald_test
+    trace = float(np.sum(np.linalg.solve(chol, fitted_resid.T) ** 2)) / t_aux
     r2_multivariate = 1.0 - trace / m
     statistic = t_aux * m * r2_multivariate
     dof = lags * m * m

@@ -42,6 +42,12 @@ class LayoutEntry:
     reg_var: int | None  # 1-based regressor variable, None for the intercept
     restricted: bool  # True for lags 1..P, False for intercept and extra lags
 
+    @property
+    def causal(self) -> bool:
+        """A restricted lag of the other variable of the pair 1, 2: a
+        coefficient that the no-causality and symmetry nulls restrict."""
+        return self.restricted and self.reg_var == 3 - self.eq_var
+
 
 @dataclass(frozen=True)
 class SureSystem:
@@ -108,16 +114,6 @@ class SureSystem:
                 for y, x, sl in zip(self.regressands, self.regressors, self.slices)
             ]
         )
-
-    def equation_labels(self) -> list[str]:
-        labels = []
-        for sl in self.slices:
-            entry = self.layout[sl.start]
-            name = ""
-            if self.variable_names and entry.eq_var <= len(self.variable_names):
-                name = f" ({self.variable_names[entry.eq_var - 1]})"
-            labels.append(f"Z{entry.eq_sign}{entry.eq_var}{name}")
-        return labels
 
 
 @dataclass(frozen=True)
@@ -294,15 +290,17 @@ def lag_order_table(
 
 def ols_fit(system: SureSystem) -> CoefficientEstimate:
     """Equation-by-equation least squares; consistent but not efficient."""
-    labels = system.equation_labels()
     coefs, gram_invs = [], []
     for i, sl in enumerate(system.slices):
         gram = system.gram[sl, sl]
         try:
             chol = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
+            entry, names = system.layout[sl.start], system.variable_names
+            name = f" ({names[entry.eq_var - 1]})" if entry.eq_var <= len(names) else ""
             raise SingularityError(
-                f"equation {labels[i]}: design matrix is rank-deficient"
+                f"equation Z{entry.eq_sign}{entry.eq_var}{name}: design matrix "
+                "is rank-deficient"
             ) from None
         coefs.append(np.linalg.solve(gram, system.xty[sl, i]))
         inv_chol = np.linalg.solve(chol, np.eye(chol.shape[0]))

@@ -49,63 +49,26 @@ class WaldResult:
     hypothesis: HypothesisSpec
 
 
-_GAMMA_EPS = 1e-15  # both expansions stop once a step moves the result by less
-_GAMMA_MAX_ITER = 800
-
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) by its power series."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_GAMMA_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) by modified Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
 def chisq_sf(x: float, q: int) -> float:
-    """Survival function P(chi2_q > x) via the regularized incomplete gamma."""
+    """Survival function P(chi2_q > x) as an exact finite sum.
+
+    For integer q, Q(q/2, x/2) is erfc(sqrt(x/2)) when q is odd, plus the
+    positive terms e^(-x/2) (x/2)^a / Gamma(a + 1) for a = q/2 - 1, q/2 - 2,
+    ... down to 1/2 (odd q) or 0 (even q); Abramowitz & Stegun 26.4.4-26.4.5.
+    """
     if q < 1 or int(q) != q:
         raise ValueError("degrees of freedom must be a positive integer")
     if not np.isfinite(x) or x < 0:
         raise ValueError("statistic must be finite and nonnegative")
-    if x == 0.0:
-        return 1.0
-    a = q / 2.0
     half = x / 2.0
-    if half < a + 1.0:
-        p = 1.0 - _gamma_p_series(a, half)
-    else:
-        p = _gamma_q_contfrac(a, half)
-    return float(min(1.0, max(0.0, p)))
+    if half == 0.0:
+        return 1.0
+    log_half = math.log(half)
+    terms = [math.erfc(math.sqrt(half))] if q % 2 else []
+    for j in range(int(q) % 2, int(q), 2):  # each term in logs, a = j / 2
+        a = j / 2.0
+        terms.append(math.exp(a * log_half - half - math.lgamma(a + 1.0)))
+    return float(min(1.0, max(0.0, math.fsum(terms))))
 
 
 # Each null's terms in catalog row order.  A group (eq_var, sign) stands for
@@ -164,8 +127,7 @@ def restriction_for(
     layout = tuple(layout)
     groups: dict[tuple[int, str], list[int]] = {}
     for k, entry in enumerate(layout):
-        # variables 1 and 2 cause each other: the regressor is the other one
-        if entry.restricted and entry.reg_var == 3 - entry.eq_var:
+        if entry.causal:
             groups.setdefault((entry.eq_var, entry.eq_sign), []).append(k)
 
     def group(key: tuple[int, str]) -> list[int]:

@@ -255,3 +255,22 @@ class TestArchLm:
         u = rng.standard_normal((300, 2))
         result = arch_lm_diag(u, lags=2)
         assert result.dof == 2 * 9  # lags * (n(n+1)/2)^2
+
+    def test_statistic_matches_textbook_formula(self, rng):
+        # LM = T m - T tr(E0'E0^-1 E1'E1): E0 the demeaned outer-product terms,
+        # E1 the residuals of their regression on a constant and their lags
+        u = rng.standard_normal((200, 3))
+        lags = 2
+        u = u - u.mean(axis=0)
+        rows, cols = np.tril_indices(3)
+        v = u[:, rows] * u[:, cols]
+        y = v[lags:]
+        x = np.column_stack(
+            [np.ones(len(y))] + [v[lags - j : len(v) - j] for j in range(1, lags + 1)]
+        )
+        e1 = y - x @ np.linalg.lstsq(x, y, rcond=None)[0]
+        e0 = y - y.mean(axis=0)
+        t_aux, m = y.shape
+        expected = t_aux * (m - np.trace(np.linalg.inv(e0.T @ e0) @ (e1.T @ e1)))
+        result = arch_lm_diag(u, lags=lags)
+        assert result.statistic == pytest.approx(expected, rel=1e-10)

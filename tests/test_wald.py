@@ -1,5 +1,8 @@
 """Restriction builder, Wald statistic identities, chi-square survival."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,12 +58,25 @@ class TestChisqSf:
 
     def test_zero_statistic(self):
         assert chisq_sf(0.0, 5) == 1.0
+        assert chisq_sf(5e-324, 3) == 1.0  # x / 2 rounds to zero
 
     def test_matches_independent_oracle_on_grid(self):
-        for q in (1, 2, 3, 4, 7, 10, 30, 100):
-            for x in (0.01, 0.5, 1.0, 2.5, float(q), 2.0 * q, 5.0 * q):
-                expected = stats.chi2.sf(x, q)
-                assert chisq_sf(x, q) == pytest.approx(expected, abs=1e-12)
+        # odd and even q, the ARCH gate's 100-400, and tails down to 1e-300
+        grid = np.logspace(-8, math.log10(4000.0), 40).tolist()
+        smallest = 1.0
+        with mpmath.workdps(50):
+            for q in [*range(1, 41), 50, 64, 99, 100, 101, 200, 256, 400]:
+                for x in [*grid, q / 2.0, float(q), q + 3.0 * math.sqrt(2.0 * q)]:
+                    expected = mpmath.gammainc(q / 2, x / 2, regularized=True)
+                    if expected < mpmath.mpf("1e-300"):
+                        continue
+                    smallest = min(smallest, float(expected))
+                    assert abs(chisq_sf(x, q) - expected) <= 1e-12 * expected, (q, x)
+        assert smallest < 1e-290
+
+    def test_far_tail_underflows_to_zero(self):
+        assert chisq_sf(1e5, 1) == 0.0
+        assert chisq_sf(1e5, 400) == 0.0
 
     def test_monotone_nonincreasing(self):
         grid = np.linspace(0.0, 60.0, 300)
@@ -162,6 +178,15 @@ class TestRestrictionBuilder:
             for idx in touched:
                 entry = system.layout[idx]
                 assert entry.restricted and entry.reg_var not in (None, entry.eq_var)
+
+    def test_h9_restricts_exactly_the_causal_coefficients(self):
+        # the report's "causal" flag and the catalog read one rule
+        system = standard_layout(p_pos=2, p_neg=1, extra=1)
+        causal = [entry.name for entry in system.layout if entry.causal]
+        assert causal == ["beta+_2,1", "beta+_2,2", "gamma+_1,1", "gamma+_1,2",
+                          "beta-_2,1", "gamma-_1,1"]
+        touched = np.any(restriction_for("H9", system.layout).restriction != 0.0, axis=0)
+        assert touched.tolist() == [entry.causal for entry in system.layout]
 
     def test_labels_use_variable_names(self):
         system = standard_layout()
