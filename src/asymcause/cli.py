@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,7 +39,7 @@ class AnalysisConfig:
 
     inputs: tuple[str, ...]
     log_transform: bool = False
-    deterministic: DeterministicSpec = DeterministicSpec("drift")
+    deterministic: str = "drift"  # a DeterministicSpec kind
     p_max: int = 8
     criterion: str = "sbc"
     fixed_lags: Optional[tuple[int, int]] = None
@@ -58,10 +58,13 @@ class AnalysisConfig:
                 "the ten-hypothesis catalog is defined for exactly two series; "
                 f"got {len(self.inputs)} inputs"
             )
+        DeterministicSpec(self.deterministic)  # raises on an unknown kind
         if self.estimator not in RUN_ESTIMATORS:
             raise ValueError(f"estimator must be one of {RUN_ESTIMATORS}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
+        if self.fixed_lags is not None:
+            object.__setattr__(self, "fixed_lags", tuple(self.fixed_lags))
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
             if len(self.names) != len(self.inputs):
@@ -71,19 +74,8 @@ class AnalysisConfig:
 
     def to_dict(self) -> dict:
         return {
-            "inputs": list(self.inputs),
-            "log_transform": self.log_transform,
-            "deterministic": self.deterministic.kind,
-            "p_max": self.p_max,
-            "criterion": self.criterion,
-            "fixed_lags": list(self.fixed_lags) if self.fixed_lags else None,
-            "extra_lags": self.extra_lags,
-            "estimator": self.estimator,
-            "date_column": self.date_column,
-            "value_column": self.value_column,
-            "names": list(self.names) if self.names else None,
-            "sum_restrictions": self.sum_restrictions,
-            "arch_lags": self.arch_lags,
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
         }
 
 
@@ -98,25 +90,14 @@ class Report:
     provenance: dict
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "estimates": self.estimates,
-            "hypotheses": self.hypotheses,
-            "diagnostics": self.diagnostics,
-            "provenance": self.provenance,
-        }
+        # not asdict: its deep copy cost ~8% of a 10 ms FGLS analysis
+        payload = {field.name: getattr(self, field.name) for field in fields(self)}
         return json.dumps(payload, indent=2)
 
 
 def parse_report(text: str) -> Report:
     data = json.loads(text)
-    return Report(
-        config=data["config"],
-        estimates=data["estimates"],
-        hypotheses=data["hypotheses"],
-        diagnostics=data["diagnostics"],
-        provenance=data["provenance"],
-    )
+    return Report(**{field.name: data[field.name] for field in fields(Report)})
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +225,8 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         )
     if config.log_transform:
         series = [_log_series(s) for s in series]
-    components = [decompose(s, config.deterministic) for s in series]
+    deterministic = DeterministicSpec(config.deterministic)
+    components = [decompose(s, deterministic) for s in series]
 
     diagnostics: dict = {}
     for comp in components:
@@ -268,16 +250,10 @@ def run_pipeline(config: AnalysisConfig) -> Report:
     fgls = fgls_fit(system)
 
     estimator_used = config.estimator
-    estimate = fgls
-    garch_fit = None
+    estimate, fit_extra = fgls, {}
     if config.estimator == "auto":
         arch = arch_lm_diag(fgls.residuals, config.arch_lags)
-        diagnostics["arch_lm"] = {
-            "statistic": float(arch.statistic),
-            "dof": int(arch.dof),
-            "p_value": float(arch.p_value),
-            "lags": config.arch_lags,
-        }
+        diagnostics["arch_lm"] = {**arch._asdict(), "lags": config.arch_lags}
         estimator_used = "garch_t" if arch.p_value < ARCH_GATE_LEVEL else "fgls"
     if estimator_used == "garch_t":
         with warnings.catch_warnings(record=True) as caught:
@@ -286,19 +262,13 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         for warning in caught:
             diagnostics.setdefault("warnings", []).append(str(warning.message))
         estimate = garch_fit.mean
-        diagnostics["estimation"] = {
-            "estimator": "garch_t_ml",
-            "iterations": estimate.iterations,
-            "converged": estimate.converged,
-            "loglik": float(garch_fit.loglik),
-            "nu": float(garch_fit.garch.nu),
-        }
-    else:
-        diagnostics["estimation"] = {
-            "estimator": "fgls",
-            "iterations": fgls.iterations,
-            "converged": fgls.converged,
-        }
+        fit_extra = {"loglik": float(garch_fit.loglik), "nu": float(garch_fit.garch.nu)}
+    diagnostics["estimation"] = {
+        "estimator": estimate.estimator,
+        "iterations": estimate.iterations,
+        "converged": estimate.converged,
+        **fit_extra,
+    }
 
     specs = catalog(system.layout, system.variable_names, config.sum_restrictions)
     results = run_catalog(estimate, specs)
@@ -473,7 +443,8 @@ def _add_deterministic_flag(parser: argparse.ArgumentParser) -> None:
 def _add_common_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--date-column", default="DATE")
     parser.add_argument("--value-column", default="VALUE")
-    parser.add_argument("--log", action="store_true", help="natural-log transform")
+    parser.add_argument("--log", action="store_true", dest="log_transform",
+                        help="natural-log transform")
     _add_deterministic_flag(parser)
 
 
@@ -486,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="full analysis of two series")
-    run.add_argument("--input", nargs="+", required=True, metavar="CSV")
+    run.add_argument("--input", nargs="+", required=True, metavar="CSV", dest="inputs")
     _add_common_input_flags(run)
     run.add_argument("--names", nargs="+", help="display names per input")
     run.add_argument("--max-lag", type=int, default=8, dest="p_max")
@@ -544,19 +515,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = AnalysisConfig(
-        inputs=tuple(args.input),
-        log_transform=args.log,
-        deterministic=DeterministicSpec(args.deterministic),
-        p_max=args.p_max,
-        criterion=args.criterion,
-        fixed_lags=tuple(args.fixed_lags) if args.fixed_lags else None,
-        extra_lags=args.extra_lags,
-        estimator=args.estimator,
-        date_column=args.date_column,
-        value_column=args.value_column,
-        names=tuple(args.names) if args.names else None,
-        sum_restrictions=args.sum_restrictions,
-        arch_lags=args.arch_lags,
+        **{field.name: getattr(args, field.name) for field in fields(AnalysisConfig)}
     )
     report = run_pipeline(config)
     _emit(render_report(report, args.format), args.out)
@@ -565,7 +524,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     series = load_csv(args.input, args.date_column, args.value_column)
-    if args.log:
+    if args.log_transform:
         series = _log_series(series)
     components = decompose(series, DeterministicSpec(args.deterministic))
     rows = ["DATE,POSITIVE,NEGATIVE"]
@@ -585,10 +544,8 @@ def _cmd_mc_size(args: argparse.Namespace) -> int:
         rho = args.error_correlation
         correlation = np.array([[1.0, rho], [rho, 1.0]])
     config = DgpConfig(
-        m=2,
         drift=tuple(args.drift),
         trend=tuple(args.trend),
-        initial=(0.0, 0.0),
         error_correlation=correlation,
         error_tail=args.tail,
         error_df=args.df,
@@ -636,8 +593,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_decompose(args)
         if args.command == "mc-size":
             return _cmd_mc_size(args)
-    # the library raises ValueError for argument values it rejects
-    except (AsymCauseError, ValueError) as exc:
+    # the library raises ValueError for argument values it rejects; OSError is
+    # an input that cannot be read or an --out that cannot be written
+    except (AsymCauseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

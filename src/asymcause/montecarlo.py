@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import DeterministicSpec, Series, decompose
-from .sure import build_design, fgls_fit, lag_order_table, ols_fit
-from .wald import HYPOTHESIS_IDS, HypothesisSpec, catalog, run_catalog
+from .sure import build_design, fgls_fit, ols_fit
+from .wald import HYPOTHESIS_IDS, catalog, run_catalog
 
 ERROR_TAILS = ("gaussian", "t")
 STUDY_ESTIMATORS = ("fgls", "ols")
@@ -26,10 +26,8 @@ STUDY_ESTIMATORS = ("fgls", "ols")
 class DgpConfig:
     """Random-walk DGP: increments drift + trend*t + correlated innovations."""
 
-    m: int = 2
     drift: tuple[float, ...] = (0.0, 0.0)
     trend: tuple[float, ...] = (0.0, 0.0)
-    initial: tuple[float, ...] = (0.0, 0.0)
     error_correlation: Optional[np.ndarray] = None  # None means identity
     error_tail: str = "gaussian"
     error_df: float = 5.0  # used when error_tail == "t"
@@ -38,15 +36,15 @@ class DgpConfig:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
+        for field_name in ("drift", "trend"):
+            vec = tuple(float(v) for v in getattr(self, field_name))
+            object.__setattr__(self, field_name, vec)
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise ValueError("drift must have at least one entry")
+        if len(self.trend) != self.m:
+            raise ValueError(f"trend must have {self.m} entries, as drift has")
         if self.t_obs < 50:
             raise ValueError("t_obs must be >= 50")
-        for field_name in ("drift", "trend", "initial"):
-            vec = tuple(float(v) for v in getattr(self, field_name))
-            if len(vec) != self.m:
-                raise ValueError(f"{field_name} must have {self.m} entries")
-            object.__setattr__(self, field_name, vec)
         if self.error_tail not in ERROR_TAILS:
             raise ValueError(f"error_tail must be one of {ERROR_TAILS}")
         if self.error_tail == "t" and not self.error_df > 2:
@@ -65,9 +63,14 @@ class DgpConfig:
                 raise ValueError("error_correlation must be positive definite")
             object.__setattr__(self, "error_correlation", corr)
 
+    @property
+    def m(self) -> int:
+        """Number of variables."""
+        return len(self.drift)
+
 
 def simulate_dgp(config: DgpConfig) -> list[Series]:
-    """Generate m random-walk series of length t_obs; deterministic per seed."""
+    """Generate m random-walk series of length t_obs from 0; deterministic per seed."""
     rng = np.random.default_rng(config.seed)
     m, t_obs = config.m, config.t_obs
     n_inc = t_obs - 1
@@ -84,11 +87,9 @@ def simulate_dgp(config: DgpConfig) -> list[Series]:
     t = np.arange(1, t_obs, dtype=float)
     out = []
     for i in range(m):
-        levels = np.empty(t_obs)
-        levels[0] = config.initial[i]
+        levels = np.zeros(t_obs)
         levels[1:] = (
-            config.initial[i]
-            + config.drift[i] * t
+            config.drift[i] * t
             + config.trend[i] * t * (t + 1.0) / 2.0
             + np.cumsum(shocks[:, i])
         )
@@ -101,8 +102,7 @@ def empirical_size(
     reps: int,
     level: float = 0.05,
     deterministic: DeterministicSpec = DeterministicSpec("drift"),
-    fixed_lags: Optional[tuple[int, int]] = (1, 1),
-    p_max: Optional[int] = None,
+    fixed_lags: tuple[int, int] = (1, 1),
     extra_lags: int = 1,
     estimator: str = "fgls",
 ) -> dict[str, float]:
@@ -121,25 +121,15 @@ def empirical_size(
         raise ValueError("estimator must be 'fgls' or 'ols'")
     base_seed = config.seed if isinstance(config.seed, tuple) else (config.seed,)
     rejections = {hid: 0 for hid in HYPOTHESIS_IDS}
-    # the layout depends only on the lag orders: one catalog per (P+, P-)
-    catalogs: dict[tuple[int, int], tuple[HypothesisSpec, ...]] = {}
+    specs = None  # every replication has the same layout: one catalog
     for rep in range(reps):
         rep_config = replace(config, seed=base_seed + (rep,))
         series = simulate_dgp(rep_config)
         components = [decompose(s, deterministic) for s in series]
-        if fixed_lags is not None:
-            p_pos, p_neg = fixed_lags
-        else:
-            if p_max is None:
-                raise ValueError("either fixed_lags or p_max must be given")
-            p_pos, p_neg = lag_order_table(components, p_max)["selected"]
-        system = build_design(components, p_pos, p_neg, extra_lags)
+        system = build_design(components, *fixed_lags, extra_lags)
         fit = fgls_fit(system) if estimator == "fgls" else ols_fit(system)
-        specs = catalogs.get((p_pos, p_neg))
         if specs is None:
-            specs = catalogs[p_pos, p_neg] = catalog(
-                system.layout, system.variable_names
-            )
+            specs = catalog(system.layout, system.variable_names)
         for result in run_catalog(fit, specs):
             if result.p_value < level:
                 rejections[result.hypothesis.id] += 1

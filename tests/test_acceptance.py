@@ -159,7 +159,7 @@ def test_criterion_06_chi_square_oracle():
 
 def test_criterion_07_empirical_size():
     started = time.perf_counter()
-    config = DgpConfig(m=2, drift=(0.2, 0.1), t_obs=300, seed=707)
+    config = DgpConfig(drift=(0.2, 0.1), t_obs=300, seed=707)
     rates = empirical_size(
         config,
         reps=1000,
@@ -179,7 +179,7 @@ def test_criterion_07_empirical_size():
 
 
 def test_criterion_08_empirical_power():
-    config = DgpConfig(m=2, drift=(0.2, 0.1), t_obs=300, seed=808,
+    config = DgpConfig(drift=(0.2, 0.1), t_obs=300, seed=808,
                        causal_feedback=0.5)
     rates = empirical_size(
         config,
@@ -268,7 +268,7 @@ def test_criterion_10_published_application_pattern():
         config = AnalysisConfig(
             inputs=(us, china),
             log_transform=True,
-            deterministic=DeterministicSpec("drift"),
+            deterministic="drift",
             fixed_lags=(1, 1),
             extra_lags=1,
             estimator=estimator,

@@ -6,11 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymcause import DataError, DgpConfig, simulate_dgp
 from asymcause.cli import (
     AnalysisConfig,
     Report,
+    _build_parser,
     format_p_value,
     load_csv,
     main,
@@ -34,7 +37,7 @@ def write_series_csv(path, series, transform=None, date_header="DATE",
 @pytest.fixture
 def pair_of_csvs(tmp_path):
     series = simulate_dgp(
-        DgpConfig(m=2, drift=(0.003, 0.002), t_obs=303, seed=42)
+        DgpConfig(drift=(0.003, 0.002), t_obs=303, seed=42)
     )
     paths = []
     for s, name in zip(series, ["us", "cn"]):
@@ -240,6 +243,15 @@ class TestPipeline:
         ]
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
 class TestRendering:
     def test_small_p_values_are_floored_in_text_only(self):
         assert format_p_value(3e-7) == "< 0.00001"
@@ -289,6 +301,18 @@ class TestRendering:
         )
         assert "Diagnostics" not in render_report(report, "text")
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(
+        Report,
+        config=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+        estimates=st.lists(JSON_VALUES, max_size=4),
+        hypotheses=st.lists(JSON_VALUES, max_size=4),
+        diagnostics=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+        provenance=st.dictionaries(st.text(), JSON_VALUES, max_size=4),
+    ))
+    def test_json_round_trip_of_any_plain_content(self, report):
+        assert parse_report(report.to_json()) == report
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render_report(
@@ -319,6 +343,17 @@ class TestConfigValidation:
     def test_estimator_names(self):
         with pytest.raises(ValueError):
             AnalysisConfig(inputs=("a", "b"), estimator="mle")
+
+    def test_deterministic_kind_validated(self):
+        with pytest.raises(ValueError, match="unknown deterministic kind 'bogus'"):
+            AnalysisConfig(inputs=("a", "b"), deterministic="bogus")
+
+    def test_run_flags_build_default_config(self):
+        args = vars(_build_parser().parse_args(["run", "--input", "a", "b"]))
+        names = [field.name for field in dataclasses.fields(AnalysisConfig)]
+        assert set(names) <= set(args)
+        config = AnalysisConfig(**{name: args[name] for name in names})
+        assert config == AnalysisConfig(inputs=("a", "b"))
 
 
 class TestMainEntry:
@@ -389,4 +424,17 @@ class TestMainEntry:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, message", [
+        (["run", "--input", "PAIR", "--fixed-lags", "1", "1", "--estimator", "fgls",
+          "--out", "DIR/absent/report.txt"], "No such file or directory"),
+        (["run", "--input", "DIR", "DIR"], "Is a directory"),
+    ], ids=["out-in-missing-directory", "input-is-directory"])
+    def test_os_errors_exit_2(self, pair_of_csvs, tmp_path, capsys, args, message):
+        args = [a.replace("DIR", str(tmp_path)) for arg in args
+                for a in (pair_of_csvs if arg == "PAIR" else [arg])]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and message in err
         assert err.count("\n") == 1

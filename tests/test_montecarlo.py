@@ -14,7 +14,7 @@ class TestDgpConfig:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            DgpConfig(m=2, drift=(0.1,))
+            DgpConfig(drift=(0.1,))
 
     def test_rejects_bad_correlation(self):
         with pytest.raises(ValueError):
@@ -22,8 +22,7 @@ class TestDgpConfig:
 
     def test_rejects_feedback_on_univariate(self):
         with pytest.raises(ValueError):
-            DgpConfig(m=1, drift=(0.0,), trend=(0.0,), initial=(0.0,),
-                      causal_feedback=0.5)
+            DgpConfig(drift=(0.0,), trend=(0.0,), causal_feedback=0.5)
 
     def test_rejects_low_t_df(self):
         with pytest.raises(ValueError):
@@ -109,13 +108,6 @@ class TestEmpiricalSize:
         assert rates["H1"] >= 0.8
         assert rates["H5"] <= 0.3  # reverse direction stays at size level
 
-    def test_lag_selection_route(self):
-        config = DgpConfig(drift=(0.2, 0.1), t_obs=150, seed=34)
-        rates = empirical_size(
-            config, reps=10, level=0.05, fixed_lags=None, p_max=3
-        )
-        assert len(rates) == 10
-
     def test_catalog_built_once_per_layout(self, monkeypatch):
         calls = []
         original = asymcause.wald.restriction_for
@@ -137,5 +129,3 @@ class TestEmpiricalSize:
             empirical_size(config, reps=10, level=1.5)
         with pytest.raises(ValueError):
             empirical_size(config, reps=10, estimator="ridge")
-        with pytest.raises(ValueError):
-            empirical_size(config, reps=10, fixed_lags=None, p_max=None)

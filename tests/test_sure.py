@@ -30,8 +30,8 @@ DRIFT = DeterministicSpec("drift")
 
 
 def components_from_walks(seed, t_obs=300, m=2, drift=(0.2, 0.1)):
-    series = simulate_dgp(DgpConfig(m=m, drift=drift[:m], trend=(0.0,) * m,
-                                    initial=(0.0,) * m, t_obs=t_obs, seed=seed))
+    series = simulate_dgp(DgpConfig(drift=drift[:m], trend=(0.0,) * m,
+                                    t_obs=t_obs, seed=seed))
     return [decompose(s, DRIFT) for s in series]
 
 

@@ -30,7 +30,7 @@ from conftest import exog_two_equation_system
 
 
 def standard_components(t_obs=303, seed=0):
-    series = simulate_dgp(DgpConfig(m=2, drift=(0.1, 0.1), t_obs=t_obs, seed=seed))
+    series = simulate_dgp(DgpConfig(drift=(0.1, 0.1), t_obs=t_obs, seed=seed))
     return [decompose(s, DeterministicSpec("drift")) for s in series]
 
 
@@ -199,8 +199,7 @@ class TestRestrictionBuilder:
             restriction_for("H11", system.layout)
 
     def test_missing_symbols(self):
-        series = simulate_dgp(DgpConfig(m=1, drift=(0.1,), trend=(0.0,),
-                                        initial=(0.0,), t_obs=150, seed=3))
+        series = simulate_dgp(DgpConfig(drift=(0.1,), trend=(0.0,), t_obs=150, seed=3))
         comps = [decompose(series[0], DeterministicSpec("drift"))]
         single = build_design(comps, 1, 1, extra_lags=1)
         with pytest.raises(ValueError, match="2-variable"):
