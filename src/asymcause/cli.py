@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -331,27 +333,21 @@ def format_p_value(p: float) -> str:
 
 def _render_text(report: Report) -> str:
     prov = report.provenance
-    sample = prov.get("sample", {})
+    sample = prov["sample"]
     lines = []
     lines.append("Efficient asymmetric causality tests")
     lines.append("=" * 72)
-    lines.append(f"Variables:  {', '.join(prov.get('variables', []))}")
-    if sample.get("start") is not None:
-        lines.append(
-            f"Sample:     {sample['start']} .. {sample['end']} "
-            f"({sample['observations']} obs, effective {sample['effective_sample']})"
-        )
-    else:
-        lines.append(
-            f"Sample:     {sample.get('observations', '?')} obs, "
-            f"effective {sample.get('effective_sample', '?')}"
-        )
-    lag_orders = prov.get("lag_orders", ["?", "?"])
+    lines.append(f"Variables:  {', '.join(prov['variables'])}")
+    lines.append(
+        f"Sample:     {sample['start']} .. {sample['end']} "
+        f"({sample['observations']} obs, effective {sample['effective_sample']})"
+    )
+    lag_orders = prov["lag_orders"]
     lines.append(
         f"Lag orders: P+={lag_orders[0]}, P-={lag_orders[1]}, "
-        f"plus {prov.get('extra_lags', 0)} unrestricted augmentation lag(s)"
+        f"plus {prov['extra_lags']} unrestricted augmentation lag(s)"
     )
-    lines.append(f"Estimator:  {prov.get('estimator', '?')}")
+    lines.append(f"Estimator:  {prov['estimator']}")
     lines.append("")
 
     causal = sorted(
@@ -388,38 +384,34 @@ def _render_text(report: Report) -> str:
         )
     lines.append("")
 
-    if report.diagnostics:
-        lines.append("Diagnostics")
-        lines.append("-" * 72)
-        arch = report.diagnostics.get("arch_lm")
-        if arch:
-            lines.append(
-                f"  ARCH LM ({arch['lags']} lag(s)): statistic "
-                f"{arch['statistic']:.4f}, dof {arch['dof']}, "
-                f"p-value {format_p_value(arch['p_value'])}"
-            )
-        selection = report.diagnostics.get("lag_selection")
-        if selection:
-            pos = ", ".join(f"{v:.4f}" for v in selection["positive"])
-            neg = ", ".join(f"{v:.4f}" for v in selection["negative"])
-            lines.append(
-                f"  Lag selection ({selection['criterion']}, p_max="
-                f"{selection['p_max']}): positive [{pos}] negative [{neg}] "
-                f"-> P+={selection['selected'][0]}, P-={selection['selected'][1]}"
-            )
-        estimation = report.diagnostics.get("estimation")
-        if estimation:
-            extra = (
-                f", loglik {estimation['loglik']:.4f}" if "loglik" in estimation else ""
-            )
-            lines.append(
-                f"  Estimation: {estimation['estimator']}, "
-                f"{estimation['iterations']} iteration(s), "
-                f"converged={estimation['converged']}{extra}"
-            )
-        for warning in report.diagnostics.get("warnings", []):
-            lines.append(f"  Warning: {warning}")
-        lines.append("")
+    lines.append("Diagnostics")
+    lines.append("-" * 72)
+    arch = report.diagnostics.get("arch_lm")
+    if arch:
+        lines.append(
+            f"  ARCH LM ({arch['lags']} lag(s)): statistic "
+            f"{arch['statistic']:.4f}, dof {arch['dof']}, "
+            f"p-value {format_p_value(arch['p_value'])}"
+        )
+    selection = report.diagnostics.get("lag_selection")
+    if selection:
+        pos = ", ".join(f"{v:.4f}" for v in selection["positive"])
+        neg = ", ".join(f"{v:.4f}" for v in selection["negative"])
+        lines.append(
+            f"  Lag selection ({selection['criterion']}, p_max="
+            f"{selection['p_max']}): positive [{pos}] negative [{neg}] "
+            f"-> P+={selection['selected'][0]}, P-={selection['selected'][1]}"
+        )
+    estimation = report.diagnostics["estimation"]
+    extra = f", loglik {estimation['loglik']:.4f}" if "loglik" in estimation else ""
+    lines.append(
+        f"  Estimation: {estimation['estimator']}, "
+        f"{estimation['iterations']} iteration(s), "
+        f"converged={estimation['converged']}{extra}"
+    )
+    for warning in report.diagnostics.get("warnings", []):
+        lines.append(f"  Warning: {warning}")
+    lines.append("")
     return "\n".join(lines)
 
 
@@ -587,6 +579,9 @@ def _cmd_mc_size(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # fail before the analysis, not when its report is written
+        if args.out and not Path(args.out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "decompose":

@@ -77,42 +77,22 @@ class Series:
 class SignedComponents:
     """Positive/negative partial cumulative sums of one variable.
 
-    positive[t] and negative[t] are defined at every observation index,
-    including t=0 where both equal initial_value/2 (empty partial sum).
-    innovations_pos/innovations_neg have one entry per increment (length
-    len(positive) - 1).
+    positive[t] and negative[t] are defined at every observation index; at
+    t=0 both are half the initial value (empty partial sum).
     """
 
     positive: np.ndarray
     negative: np.ndarray
-    innovations_pos: np.ndarray
-    innovations_neg: np.ndarray
-    fitted_drift: float
-    fitted_trend: float
-    initial_value: float
     name: str = ""
     degenerate_warning: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positive, dtype=float)
         neg = np.asarray(self.negative, dtype=float)
-        e_pos = np.asarray(self.innovations_pos, dtype=float)
-        e_neg = np.asarray(self.innovations_neg, dtype=float)
         if pos.shape != neg.shape or pos.ndim != 1:
             raise DataError("positive/negative components must be 1-d and equal length")
-        if e_pos.shape != e_neg.shape or e_pos.size != pos.size - 1:
-            raise DataError("innovation vectors must have one entry per increment")
-        if np.any(e_pos < 0) or np.any(e_neg > 0):
-            raise DataError("signed innovations violate their sign constraint")
-        if np.any(e_pos * e_neg != 0):
-            raise DataError("positive and negative innovations must not overlap")
-        for attr, arr in (
-            ("positive", pos),
-            ("negative", neg),
-            ("innovations_pos", e_pos),
-            ("innovations_neg", e_neg),
-        ):
-            object.__setattr__(self, attr, arr)
+        object.__setattr__(self, "positive", pos)
+        object.__setattr__(self, "negative", neg)
 
     def __len__(self) -> int:
         return self.positive.size
@@ -183,11 +163,6 @@ def decompose(series: Series, spec: DeterministicSpec) -> SignedComponents:
     return SignedComponents(
         positive=positive,
         negative=negative,
-        innovations_pos=e_pos,
-        innovations_neg=e_neg,
-        fitted_drift=drift,
-        fitted_trend=trend,
-        initial_value=float(values[0]),
         name=series.name,
         degenerate_warning=warning,
     )
@@ -195,6 +170,4 @@ def decompose(series: Series, spec: DeterministicSpec) -> SignedComponents:
 
 def recompose(components: SignedComponents) -> np.ndarray:
     """Elementwise sum of the two components; recovers the original series."""
-    if components.positive.shape != components.negative.shape:
-        raise DataError("component length mismatch")
     return components.positive + components.negative

@@ -331,7 +331,7 @@ def fit_sure_garch_t(
         covariance=mean_cov,
         omega=spec_hat.unconditional_covariance(),
         residuals=system.residuals(mean_hat),
-        estimator="garch_t_ml",
+        estimator="garch_t",
         iterations=result.iterations,
         converged=result.converged,
     )

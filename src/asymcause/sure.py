@@ -19,7 +19,7 @@ from .decomposition import SignedComponents
 from .errors import InsufficientDataError, NotPositiveDefiniteError, SingularityError
 
 CRITERIA = ("aic", "sbc", "hq")
-ESTIMATORS = ("ols", "fgls", "garch_t_ml")
+ESTIMATORS = ("ols", "fgls", "garch_t")
 
 
 def _slope_symbol(eq_var: int) -> str:

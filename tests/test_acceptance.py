@@ -16,26 +16,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from asymcause import (
-    DeterministicSpec,
-    DgpConfig,
+from asymcause import DeterministicSpec, Series, decompose, fgls_fit
+from asymcause.cli import AnalysisConfig, run_pipeline
+from asymcause.decomposition import recompose
+from asymcause.mgarch import (
     GarchSpec,
-    HypothesisSpec,
-    chisq_sf,
-    decompose,
-    empirical_size,
-    fgls_fit,
     fit_sure_garch_t,
     garch_t_loglik,
-    ols_fit,
-    recompose,
-    restriction_for,
     simulate_ccc_garch_t,
-    simulate_dgp,
-    wald_test,
 )
-from asymcause.cli import AnalysisConfig, run_pipeline
-from asymcause.decomposition import Series
+from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
+from asymcause.sure import ols_fit
+from asymcause.wald import HypothesisSpec, chisq_sf, restriction_for, wald_test
 
 from conftest import exog_two_equation_system, identical_regressor_system, \
     intercept_system

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcause import DataError, DgpConfig, simulate_dgp
+from asymcause import cli
 from asymcause.cli import (
     AnalysisConfig,
     Report,
@@ -21,6 +21,8 @@ from asymcause.cli import (
     render_report,
     run_pipeline,
 )
+from asymcause.errors import DataError
+from asymcause.montecarlo import DgpConfig, simulate_dgp
 
 
 def write_series_csv(path, series, transform=None, date_header="DATE",
@@ -208,7 +210,7 @@ class TestPipeline:
     @pytest.mark.slow
     def test_garch_branch_end_to_end(self, tmp_path):
         # heteroskedastic pair so the GARCH path is the realistic choice
-        from asymcause import GarchSpec, simulate_ccc_garch_t
+        from asymcause.mgarch import GarchSpec, simulate_ccc_garch_t
 
         spec = GarchSpec(
             omega=np.array([0.02, 0.02]),
@@ -234,7 +236,7 @@ class TestPipeline:
             warnings.simplefilter("ignore")
             report = run_pipeline(config)
         assert report.provenance["estimator"] == "garch_t"
-        assert report.diagnostics["estimation"]["estimator"] == "garch_t_ml"
+        assert report.diagnostics["estimation"]["estimator"] == "garch_t"
         assert np.isfinite(report.diagnostics["estimation"]["loglik"])
         # 158 observations for 39 parameters: the small-sample warning is reported
         assert report.diagnostics["warnings"] == [
@@ -264,9 +266,10 @@ class TestRendering:
                 {"id": "H1", "null": "beta+_2,1 = 0", "statistic": 30.0,
                  "dof": 1, "p_value": 3e-7, "implication": "x."}
             ],
-            diagnostics={},
+            diagnostics={"estimation": {"estimator": "fgls", "iterations": 3,
+                                        "converged": True}},
             provenance={"variables": ["a", "b"], "sample": {
-                "start": None, "end": None, "observations": 10,
+                "start": "1", "end": "10", "observations": 10,
                 "effective_sample": 8}, "lag_orders": [1, 1], "extra_lags": 1,
                 "estimator": "fgls", "version": "0.1.0"},
         )
@@ -284,22 +287,6 @@ class TestRendering:
         )
         report = run_pipeline(config)
         assert parse_report(render_report(report, "json")) == report
-
-    def test_empty_diagnostics_section_omitted(self):
-        report = Report(
-            config={},
-            estimates=[],
-            hypotheses=[
-                {"id": "H1", "null": "x = 0", "statistic": 1.0, "dof": 1,
-                 "p_value": 0.3, "implication": "y."}
-            ],
-            diagnostics={},
-            provenance={"variables": [], "sample": {
-                "start": None, "end": None, "observations": 5,
-                "effective_sample": 3}, "lag_orders": [1, 1], "extra_lags": 0,
-                "estimator": "fgls", "version": "0.1.0"},
-        )
-        assert "Diagnostics" not in render_report(report, "text")
 
     @settings(max_examples=60, deadline=None)
     @given(st.builds(
@@ -438,3 +425,21 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and message in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--input", "PAIR"], ["decompose", "--input", "US"], ["mc-size"],
+    ], ids=["run", "decompose", "mc-size"])
+    def test_missing_out_directory_fails_before_the_work(
+        self, pair_of_csvs, tmp_path, capsys, monkeypatch, command
+    ):
+        def never(*args, **kwargs):
+            pytest.fail("the work ran before --out was checked")
+
+        for name in ("run_pipeline", "decompose", "empirical_size"):
+            monkeypatch.setattr(cli, name, never)
+        out = str(tmp_path / "absent" / "report.txt")
+        inputs = {"PAIR": pair_of_csvs, "US": pair_of_csvs[:1]}
+        args = [a for arg in command for a in inputs.get(arg, [arg])]
+        assert main([*args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {out!r}\n"

@@ -6,13 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from asymcause import (
+from asymcause import fgls_fit
+from asymcause.errors import InsufficientDataError, LikelihoodError, SingularityError
+from asymcause.mgarch import (
     GarchSpec,
-    InsufficientDataError,
-    LikelihoodError,
-    SingularityError,
     arch_lm_diag,
-    fgls_fit,
     fit_sure_garch_t,
     garch_t_loglik,
     simulate_ccc_garch_t,
@@ -206,7 +204,7 @@ class TestFit:
             fit = fit_sure_garch_t(intercept_system(data), max_iter=60)
         trace = fit.trace
         assert all(later >= earlier for earlier, later in zip(trace, trace[1:]))
-        assert fit.mean.estimator == "garch_t_ml"
+        assert fit.mean.estimator == "garch_t"
         assert fit.information.shape[0] == 2 + 3 * 2 + 1 + 1
 
     def test_small_sample_warning(self, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import asymcause.wald
-from asymcause import DgpConfig, empirical_size, simulate_dgp
+from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
 
 
 class TestDgpConfig:

@@ -5,24 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcause import (
-    DeterministicSpec,
-    DgpConfig,
+from asymcause import DeterministicSpec, Series, build_design, decompose, fgls_fit
+from asymcause.decomposition import SignedComponents
+from asymcause.errors import (
     InsufficientDataError,
-    LayoutEntry,
     NotPositiveDefiniteError,
-    Series,
-    SignedComponents,
     SingularityError,
-    build_design,
-    decompose,
-    fgls_fit,
-    gls_solve,
-    lag_order_table,
-    ols_fit,
-    simulate_dgp,
 )
-from asymcause.sure import SureSystem
+from asymcause.montecarlo import DgpConfig, simulate_dgp
+from asymcause.sure import LayoutEntry, SureSystem, gls_solve, lag_order_table, ols_fit
 
 from conftest import exog_two_equation_system, identical_regressor_system
 
@@ -36,19 +27,8 @@ def components_from_walks(seed, t_obs=300, m=2, drift=(0.2, 0.1)):
 
 
 def var_components(data: np.ndarray, name: str) -> SignedComponents:
-    """Wrap simulated component-level data; innovations are placeholders
-    (the design builder only reads the component levels)."""
-    n = data.shape[0]
-    return SignedComponents(
-        positive=data,
-        negative=np.zeros(n),
-        innovations_pos=np.zeros(n - 1),
-        innovations_neg=np.zeros(n - 1),
-        fitted_drift=0.0,
-        fitted_trend=0.0,
-        initial_value=0.0,
-        name=name,
-    )
+    """Wrap simulated component-level data as the positive component."""
+    return SignedComponents(positive=data, negative=np.zeros(data.shape[0]), name=name)
 
 
 def random_system(rng: np.random.Generator, widths, t_obs: int = 40) -> SureSystem:
@@ -227,16 +207,7 @@ class TestOls:
             pos[t] = 0.5 + a_pos @ pos[t - 1] + rng.standard_normal(2)
             neg[t] = -0.2 + a_neg @ neg[t - 1] + rng.standard_normal(2)
         comps = [
-            SignedComponents(
-                positive=pos[:, i],
-                negative=neg[:, i],
-                innovations_pos=np.zeros(t_obs - 1),
-                innovations_neg=np.zeros(t_obs - 1),
-                fitted_drift=0.0,
-                fitted_trend=0.0,
-                initial_value=0.0,
-                name=f"v{i + 1}",
-            )
+            SignedComponents(positive=pos[:, i], negative=neg[:, i], name=f"v{i + 1}")
             for i in range(2)
         ]
         system = build_design(comps, 1, 1, extra_lags=0)
@@ -285,6 +256,38 @@ class TestFgls:
         coef, _ = gls_solve(system, np.diag(variances[: len(widths)]))
         np.testing.assert_allclose(coef, ols.coefficients, rtol=0, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        width=st.integers(1, 5),
+        diagonal=st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4),
+        lower=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_design_any_omega_reproduces_ols(self, n, width, diagonal, lower, seed):
+        # Kruskal: when every equation has the same design, GLS is OLS for any
+        # positive-definite omega = LL'.  The error tracks cond(omega); measured
+        # at <= 2.8 cond(omega) eps of the largest coefficient over 40,000
+        # random and extreme-entry L, so the bound is 10 cond(omega) eps.
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(40), rng.standard_normal((40, width - 1))])
+        layout = tuple(
+            LayoutEntry(f"c{i},{j}", i + 1, "+", None if j == 0 else 1, j > 0)
+            for i in range(n)
+            for j in range(width)
+        )
+        ys = tuple(x @ rng.standard_normal(width) + rng.standard_normal(40)
+                   for _ in range(n))
+        system = SureSystem(ys, (x,) * n, layout)
+        factor = np.diag(diagonal[:n])
+        factor[np.tril_indices(n, -1)] = lower[: n * (n - 1) // 2]
+        omega = factor @ factor.T
+        ols = ols_fit(system).coefficients
+        coef, _ = gls_solve(system, omega)
+        scale = max(1.0, np.max(np.abs(ols)))
+        bound = 10.0 * np.linalg.cond(omega) * np.finfo(float).eps * scale
+        assert np.max(np.abs(coef - ols)) <= bound
+
     def test_gls_matches_dense_kronecker_oracle(self):
         # unequal equation widths (7 and 5) against the textbook formula
         # [Z'(omega^-1 (x) I)Z]^-1 Z'(omega^-1 (x) I)y on an explicit
@@ -293,14 +296,7 @@ class TestFgls:
         rng = np.random.default_rng(15)
         comps = [
             SignedComponents(
-                positive=rng.standard_normal(200),
-                negative=rng.standard_normal(200),
-                innovations_pos=np.zeros(199),
-                innovations_neg=np.zeros(199),
-                fitted_drift=0.0,
-                fitted_trend=0.0,
-                initial_value=0.0,
-                name=f"v{i + 1}",
+                rng.standard_normal(200), rng.standard_normal(200), name=f"v{i + 1}"
             )
             for i in range(2)
         ]

@@ -10,19 +10,21 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from asymcause import (
-    CoefficientEstimate,
     DeterministicSpec,
-    DgpConfig,
-    HYPOTHESIS_IDS,
-    HypothesisSpec,
-    SingularityError,
     build_design,
     catalog,
-    chisq_sf,
     decompose,
-    restriction_for,
+    fgls_fit,
     run_catalog,
-    simulate_dgp,
+)
+from asymcause.errors import SingularityError
+from asymcause.montecarlo import DgpConfig, simulate_dgp
+from asymcause.sure import CoefficientEstimate
+from asymcause.wald import (
+    HYPOTHESIS_IDS,
+    HypothesisSpec,
+    chisq_sf,
+    restriction_for,
     wald_test,
 )
 
@@ -225,8 +227,6 @@ class TestWaldTest:
 
     def test_q1_equals_squared_t_ratio(self, rng):
         system, _ = exog_two_equation_system(rng)
-        from asymcause import fgls_fit
-
         fit = fgls_fit(system)
         for idx in (1, 3):  # the two slope coefficients
             row = np.zeros((1, 4))
@@ -247,8 +247,6 @@ class TestWaldTest:
 
     def test_nonsingular_row_mixing_invariance(self, rng):
         system, _ = exog_two_equation_system(rng)
-        from asymcause import fgls_fit
-
         fit = fgls_fit(system)
         rows = np.zeros((2, 4))
         rows[0, 1] = 1.0
@@ -271,8 +269,6 @@ class TestWaldTest:
         # W is unchanged when R becomes M R for any nonsingular M: a row scaling
         # diag(d), and R(a) diag(d) R(b) for rotations R, which spans every 2x2
         # mixer with singular values in [0.1, 10]
-        from asymcause import fgls_fit
-
         system, _ = exog_two_equation_system(np.random.default_rng(seed))
         fit = fgls_fit(system)
         rows = np.zeros((2, 4))
@@ -317,8 +313,6 @@ class TestWaldTest:
 class TestCatalog:
     def test_order_and_size(self):
         system = standard_layout()
-        from asymcause import fgls_fit
-
         specs = catalog(system.layout, system.variable_names)
         results = run_catalog(fgls_fit(system), specs)
         assert [r.hypothesis.id for r in results] == list(HYPOTHESIS_IDS)
