@@ -11,13 +11,12 @@ is imported from its module (``asymcause.errors``, ``asymcause.mgarch``, ...).
 
 __version__ = "0.1.0"
 
-from .decomposition import DeterministicSpec, Series, decompose
+from .decomposition import Series, decompose
 from .sure import build_design, fgls_fit
 from .wald import catalog, run_catalog
 
 __all__ = [
     "__version__",
-    "DeterministicSpec",
     "Series",
     "decompose",
     "build_design",

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .decomposition import DETERMINISTIC_KINDS, DeterministicSpec, Series, decompose
+from .decomposition import DETERMINISTIC_KINDS, Series, _check_kind, decompose
 from .errors import AsymCauseError, DataError
 from .mgarch import arch_lm_diag, fit_sure_garch_t
 from .montecarlo import ERROR_TAILS, STUDY_ESTIMATORS, DgpConfig, empirical_size
@@ -32,6 +32,7 @@ from .wald import catalog, run_catalog
 
 P_VALUE_FLOOR = 1e-5  # below this the text renderer prints "< 0.00001"
 ARCH_GATE_LEVEL = 0.05  # fixed gate for the auto estimator choice
+ARCH_LAGS = 1  # lags of the gate's ARCH LM regression
 RUN_ESTIMATORS = ("fgls", "garch_t", "auto")
 
 
@@ -41,7 +42,7 @@ class AnalysisConfig:
 
     inputs: tuple[str, ...]
     log_transform: bool = False
-    deterministic: str = "drift"  # a DeterministicSpec kind
+    deterministic: str = "drift"  # one of DETERMINISTIC_KINDS
     p_max: int = 8
     criterion: str = "sbc"
     fixed_lags: Optional[tuple[int, int]] = None
@@ -51,7 +52,6 @@ class AnalysisConfig:
     value_column: str = "VALUE"
     names: Optional[tuple[str, ...]] = None
     sum_restrictions: bool = False
-    arch_lags: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -60,7 +60,7 @@ class AnalysisConfig:
                 "the ten-hypothesis catalog is defined for exactly two series; "
                 f"got {len(self.inputs)} inputs"
             )
-        DeterministicSpec(self.deterministic)  # raises on an unknown kind
+        _check_kind(self.deterministic)
         if self.estimator not in RUN_ESTIMATORS:
             raise ValueError(f"estimator must be one of {RUN_ESTIMATORS}")
         if self.criterion not in CRITERIA:
@@ -227,8 +227,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         )
     if config.log_transform:
         series = [_log_series(s) for s in series]
-    deterministic = DeterministicSpec(config.deterministic)
-    components = [decompose(s, deterministic) for s in series]
+    components = [decompose(s, config.deterministic) for s in series]
 
     diagnostics: dict = {}
     for comp in components:
@@ -254,8 +253,8 @@ def run_pipeline(config: AnalysisConfig) -> Report:
     estimator_used = config.estimator
     estimate, fit_extra = fgls, {}
     if config.estimator == "auto":
-        arch = arch_lm_diag(fgls.residuals, config.arch_lags)
-        diagnostics["arch_lm"] = {**arch._asdict(), "lags": config.arch_lags}
+        arch = arch_lm_diag(fgls.residuals, ARCH_LAGS)
+        diagnostics["arch_lm"] = {**arch._asdict(), "lags": ARCH_LAGS}
         estimator_used = "garch_t" if arch.p_value < ARCH_GATE_LEVEL else "fgls"
     if estimator_used == "garch_t":
         with warnings.catch_warnings(record=True) as caught:
@@ -463,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--extra-lags", type=int, default=1)
     run.add_argument("--estimator", choices=RUN_ESTIMATORS, default="auto")
-    run.add_argument("--arch-lags", type=int, default=1)
     run.add_argument("--sum-restrictions", action="store_true")
     run.add_argument("--format", choices=["text", "json"], default="text")
     run.add_argument("--out", help="write the report here instead of stdout")
@@ -484,9 +482,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--error-correlation", type=float, default=0.0, metavar="RHO",
         help="cross-correlation of the two innovation series",
     )
-    mc.add_argument("--tail", choices=ERROR_TAILS, default="gaussian")
-    mc.add_argument("--df", type=float, default=5.0)
-    mc.add_argument("--feedback", type=float, help="power study: inject this "
+    mc.add_argument("--tail", choices=ERROR_TAILS, default="gaussian",
+                    dest="error_tail")
+    mc.add_argument("--df", type=float, default=5.0, dest="error_df", metavar="DF")
+    mc.add_argument("--feedback", type=float, dest="causal_feedback",
+                    metavar="FEEDBACK", help="power study: inject this "
                     "coefficient of variable 2's lagged positive shocks")
     mc.add_argument("--fixed-lags", nargs=2, type=int, default=[1, 1])
     mc.add_argument("--extra-lags", type=int, default=1)
@@ -518,7 +518,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     series = load_csv(args.input, args.date_column, args.value_column)
     if args.log_transform:
         series = _log_series(series)
-    components = decompose(series, DeterministicSpec(args.deterministic))
+    components = decompose(series, args.deterministic)
     rows = ["DATE,POSITIVE,NEGATIVE"]
     for stamp, pos, neg in zip(
         series.timestamps, components.positive, components.negative
@@ -531,25 +531,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc_size(args: argparse.Namespace) -> int:
-    correlation = None
-    if args.error_correlation:
-        rho = args.error_correlation
-        correlation = np.array([[1.0, rho], [rho, 1.0]])
     config = DgpConfig(
-        drift=tuple(args.drift),
-        trend=tuple(args.trend),
-        error_correlation=correlation,
-        error_tail=args.tail,
-        error_df=args.df,
-        causal_feedback=args.feedback,
-        t_obs=args.t_obs,
-        seed=args.seed,
+        **{field.name: getattr(args, field.name) for field in fields(DgpConfig)}
     )
     rates = empirical_size(
         config,
         reps=args.reps,
         level=args.level,
-        deterministic=DeterministicSpec(args.deterministic),
+        deterministic=args.deterministic,
         fixed_lags=tuple(args.fixed_lags),
         extra_lags=args.extra_lags,
         estimator=args.estimator,
@@ -560,7 +549,7 @@ def _cmd_mc_size(args: argparse.Namespace) -> int:
             "t_obs": args.t_obs,
             "level": args.level,
             "seed": args.seed,
-            "feedback": args.feedback,
+            "feedback": args.causal_feedback,
             "rates": rates,
         }
         _emit(json.dumps(payload, indent=2), args.out)

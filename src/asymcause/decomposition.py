@@ -19,24 +19,6 @@ DETERMINISTIC_KINDS = ("none", "drift", "drift_and_trend")
 
 
 @dataclass(frozen=True)
-class DeterministicSpec:
-    """Which deterministic terms the increments carry.
-
-    kind is one of "none" (pure random walk), "drift" (constant increment
-    mean) or "drift_and_trend" (increment mean linear in t).
-    """
-
-    kind: str = "drift"
-
-    def __post_init__(self):
-        if self.kind not in DETERMINISTIC_KINDS:
-            raise ValueError(
-                f"unknown deterministic kind {self.kind!r}; "
-                f"expected one of {DETERMINISTIC_KINDS}"
-            )
-
-
-@dataclass(frozen=True)
 class Series:
     """A raw observed time series.
 
@@ -98,17 +80,27 @@ class SignedComponents:
         return self.positive.size
 
 
-def fit_deterministic(series: Series, spec: DeterministicSpec) -> tuple[float, float]:
+def _check_kind(kind: str) -> None:
+    if kind not in DETERMINISTIC_KINDS:
+        raise ValueError(
+            f"unknown deterministic kind {kind!r}; "
+            f"expected one of {DETERMINISTIC_KINDS}"
+        )
+
+
+def fit_deterministic(series: Series, kind: str) -> tuple[float, float]:
     """Estimate the drift and trend coefficients of the increments.
 
-    Returns (drift, trend).  kind="none" fixes both at zero; "drift" uses the
-    mean first difference; "drift_and_trend" regresses the first differences
-    on a constant and the time index t = 1..T by least squares.
+    Returns (drift, trend).  kind is one of DETERMINISTIC_KINDS: "none" (pure
+    random walk) fixes both at zero; "drift" uses the mean first difference;
+    "drift_and_trend" regresses the first differences on a constant and the
+    time index t = 1..T by least squares.
     """
+    _check_kind(kind)
     diffs = np.diff(series.values)
-    if spec.kind == "none":
+    if kind == "none":
         return 0.0, 0.0
-    if spec.kind == "drift":
+    if kind == "drift":
         return float(diffs.mean()), 0.0
     # drift_and_trend
     if np.ptp(series.values) == 0.0:
@@ -128,14 +120,14 @@ def _deterministic_half(
     return (drift * t + trend * t * (t + 1.0) / 2.0 + initial_value) / 2.0
 
 
-def decompose(series: Series, spec: DeterministicSpec) -> SignedComponents:
+def decompose(series: Series, kind: str) -> SignedComponents:
     """Split a series into its positive and negative partial cumulative sums.
 
     Fitted innovations e_t = dZ_t - drift - trend*t are separated into their
     nonnegative and nonpositive parts; each component is half the
     deterministic path plus the running sum of one signed part.
     """
-    drift, trend = fit_deterministic(series, spec)
+    drift, trend = fit_deterministic(series, kind)
     values = series.values
     t = np.arange(1, values.size, dtype=float)
     innovations = np.diff(values) - drift - trend * t

@@ -1,7 +1,7 @@
 """Synthetic data generation and size/power studies for the test pipeline.
 
-The data-generating process is a set of random walks with optional drift and
-trend and cross-correlated innovations.  An optional feedback coefficient
+The data-generating process is a pair of random walks with optional drift and
+trend and correlated innovations.  An optional feedback coefficient
 injects variable 2's lagged positive innovations into variable 1's increments,
 so the catalog's H1 ("rising variable 2 does not cause rising variable 1")
 is the null violated in power studies.
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import DeterministicSpec, Series, decompose
+from .decomposition import Series, decompose
 from .sure import build_design, fgls_fit, ols_fit
 from .wald import HYPOTHESIS_IDS, catalog, run_catalog
 
@@ -24,11 +24,11 @@ STUDY_ESTIMATORS = ("fgls", "ols")
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """Random-walk DGP: increments drift + trend*t + correlated innovations."""
+    """Two random walks: increments drift + trend*t + correlated innovations."""
 
-    drift: tuple[float, ...] = (0.0, 0.0)
-    trend: tuple[float, ...] = (0.0, 0.0)
-    error_correlation: Optional[np.ndarray] = None  # None means identity
+    drift: tuple[float, float] = (0.0, 0.0)
+    trend: tuple[float, float] = (0.0, 0.0)
+    error_correlation: float = 0.0  # correlation of the two innovation series
     error_tail: str = "gaussian"
     error_df: float = 5.0  # used when error_tail == "t"
     causal_feedback: Optional[float] = None
@@ -38,55 +38,38 @@ class DgpConfig:
     def __post_init__(self):
         for field_name in ("drift", "trend"):
             vec = tuple(float(v) for v in getattr(self, field_name))
+            if len(vec) != 2:
+                raise ValueError(f"{field_name} must have two entries")
             object.__setattr__(self, field_name, vec)
-        if self.m < 1:
-            raise ValueError("drift must have at least one entry")
-        if len(self.trend) != self.m:
-            raise ValueError(f"trend must have {self.m} entries, as drift has")
+        if not -1.0 < self.error_correlation < 1.0:
+            raise ValueError("error_correlation must be in (-1, 1)")
         if self.t_obs < 50:
             raise ValueError("t_obs must be >= 50")
         if self.error_tail not in ERROR_TAILS:
             raise ValueError(f"error_tail must be one of {ERROR_TAILS}")
         if self.error_tail == "t" and not self.error_df > 2:
             raise ValueError("error_df must exceed 2 for unit-variance scaling")
-        if self.causal_feedback is not None and self.m < 2:
-            raise ValueError("causal_feedback needs at least two variables")
-        if self.error_correlation is not None:
-            corr = np.asarray(self.error_correlation, dtype=float)
-            if corr.shape != (self.m, self.m):
-                raise ValueError("error_correlation shape must be (m, m)")
-            if not np.allclose(corr, corr.T, atol=1e-10):
-                raise ValueError("error_correlation must be symmetric")
-            if not np.allclose(np.diag(corr), 1.0, atol=1e-10):
-                raise ValueError("error_correlation must have unit diagonal")
-            if np.min(np.linalg.eigvalsh(corr)) <= 0:
-                raise ValueError("error_correlation must be positive definite")
-            object.__setattr__(self, "error_correlation", corr)
-
-    @property
-    def m(self) -> int:
-        """Number of variables."""
-        return len(self.drift)
 
 
 def simulate_dgp(config: DgpConfig) -> list[Series]:
-    """Generate m random-walk series of length t_obs from 0; deterministic per seed."""
+    """Generate the two random walks of length t_obs from 0; deterministic per seed."""
     rng = np.random.default_rng(config.seed)
-    m, t_obs = config.m, config.t_obs
+    t_obs = config.t_obs
     n_inc = t_obs - 1
     if config.error_tail == "gaussian":
-        shocks = rng.standard_normal((n_inc, m))
+        shocks = rng.standard_normal((n_inc, 2))
     else:
         df = config.error_df
-        shocks = rng.standard_t(df, size=(n_inc, m)) / np.sqrt(df / (df - 2.0))
-    if config.error_correlation is not None:
-        shocks = shocks @ np.linalg.cholesky(config.error_correlation).T
+        shocks = rng.standard_t(df, size=(n_inc, 2)) / np.sqrt(df / (df - 2.0))
+    rho = config.error_correlation
+    if rho:
+        shocks = shocks @ np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]])).T
     if config.causal_feedback is not None:
         # lagged positive innovations of variable 2 feed variable 1's increment
         shocks[1:, 0] += config.causal_feedback * np.maximum(shocks[:-1, 1], 0.0)
     t = np.arange(1, t_obs, dtype=float)
     out = []
-    for i in range(m):
+    for i in range(2):
         levels = np.zeros(t_obs)
         levels[1:] = (
             config.drift[i] * t
@@ -101,7 +84,7 @@ def empirical_size(
     config: DgpConfig,
     reps: int,
     level: float = 0.05,
-    deterministic: DeterministicSpec = DeterministicSpec("drift"),
+    deterministic: str = "drift",
     fixed_lags: tuple[int, int] = (1, 1),
     extra_lags: int = 1,
     estimator: str = "fgls",

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 GTOL = 1e-5  # converged when max |gradient component| falls below this
-FTOL_REL = 1e-10  # ... or when one step changes f by less than this * max(1, |f|)
+FTOL_REL = 1e-10  # also stop when one step changes f by less than this * max(1, |f|)
 GRADIENT_STEP = 1e-5  # central-difference steps are these * max(1, |x_i|)
 HESSIAN_STEP = 1e-4
 
@@ -63,7 +63,9 @@ def minimize_bfgs(
     """Minimize fun from x0; stop on small gradient or small relative change.
 
     Line search is plain backtracking on the Armijo condition, so the
-    objective decreases strictly at every accepted iterate.
+    objective decreases strictly at every accepted iterate.  Whatever stops
+    the loop (message says what), the result is converged only when max
+    |gradient| at the returned point is below GTOL.
     """
     x = np.asarray(x0, dtype=float).copy()
     k = x.size
@@ -81,13 +83,12 @@ def minimize_bfgs(
     h_inv = np.eye(k)
     trace = [f_x]
     message = "maximum iterations reached"
-    converged = False
     iteration = 0
     first_update = True
 
     while iteration < max_iter:
         if np.max(np.abs(grad)) < GTOL:
-            converged, message = True, "gradient norm below tolerance"
+            message = "gradient norm below tolerance"
             break
         iteration += 1
         direction = -h_inv @ grad
@@ -127,7 +128,7 @@ def minimize_bfgs(
         x, f_x, grad = x_new, f_new, grad_new
         trace.append(f_x)
         if f_change < FTOL_REL * max(1.0, abs(f_x)):
-            converged, message = True, "relative objective change below tolerance"
+            message = "relative objective change below tolerance"
             break
 
     return OptimResult(
@@ -135,7 +136,7 @@ def minimize_bfgs(
         fun=f_x,
         gradient=grad,
         iterations=iteration,
-        converged=converged,
+        converged=bool(np.max(np.abs(grad)) < GTOL),
         message=message,
         f_trace=tuple(trace),
         n_evals=evals[0],

@@ -20,6 +20,8 @@ from .errors import InsufficientDataError, NotPositiveDefiniteError, Singularity
 
 CRITERIA = ("aic", "sbc", "hq")
 ESTIMATORS = ("ols", "fgls", "garch_t")
+FGLS_TOL = 1e-8  # FGLS stops when no coefficient moves by this much ...
+FGLS_MAX_ITER = 100  # ... or after this many GLS solves
 
 
 def _slope_symbol(eq_var: int) -> str:
@@ -351,26 +353,20 @@ def gls_solve(
     return coef, (cov + cov.T) / 2.0
 
 
-def fgls_fit(
-    system: SureSystem, tol: float = 1e-8, max_iter: int = 100
-) -> CoefficientEstimate:
+def fgls_fit(system: SureSystem) -> CoefficientEstimate:
     """Iterated feasible GLS: alternate the error covariance and the GLS solve.
 
     Starts from the OLS residual covariance and stops when the largest
-    coefficient change drops below tol; the reported covariance uses the
+    coefficient change drops below FGLS_TOL; the reported covariance uses the
     covariance matrix from the final solve.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     ols = ols_fit(system)
     previous, omega = ols.coefficients, ols.omega
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FGLS_MAX_ITER + 1):
         coef, cov = gls_solve(system, omega)
         u = system.residuals(coef)
-        converged = bool(np.max(np.abs(coef - previous)) < tol)
-        if converged or iterations == max_iter:
+        converged = bool(np.max(np.abs(coef - previous)) < FGLS_TOL)
+        if converged or iterations == FGLS_MAX_ITER:
             break
         previous, omega = coef, u.T @ u / system.effective_sample
     return CoefficientEstimate(

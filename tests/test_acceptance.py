@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from asymcause import DeterministicSpec, Series, decompose, fgls_fit
+from asymcause import Series, decompose, fgls_fit
 from asymcause.cli import AnalysisConfig, run_pipeline
 from asymcause.decomposition import recompose
 from asymcause.mgarch import (
@@ -41,7 +41,7 @@ def report_line(number: int, description: str, ok: bool, detail: str = "") -> No
 
 def test_criterion_01_recomposition_identity():
     started = time.perf_counter()
-    specs = [DeterministicSpec(k) for k in ("none", "drift", "drift_and_trend")]
+    specs = ["none", "drift", "drift_and_trend"]
     worst = 0.0
     count = 0
     for index in range(1000):
@@ -71,8 +71,7 @@ def test_criterion_01_recomposition_identity():
 
 
 def test_criterion_02_hand_oracle_decomposition():
-    comps = decompose(Series(values=[10.0, 12.0, 11.0, 14.0]),
-                      DeterministicSpec("drift"))
+    comps = decompose(Series(values=[10.0, 12.0, 11.0, 14.0]), "drift")
     expected_pos = np.array([5.0, 19.0 / 3.0, 7.0, 28.0 / 3.0])
     expected_neg = np.array([5.0, 17.0 / 3.0, 4.0, 14.0 / 3.0])
     err = max(
@@ -156,7 +155,7 @@ def test_criterion_07_empirical_size():
         config,
         reps=1000,
         level=0.05,
-        deterministic=DeterministicSpec("drift"),
+        deterministic="drift",
         fixed_lags=(1, 1),
         extra_lags=1,
         estimator="fgls",
@@ -177,7 +176,7 @@ def test_criterion_08_empirical_power():
         config,
         reps=500,
         level=0.05,
-        deterministic=DeterministicSpec("drift"),
+        deterministic="drift",
         fixed_lags=(1, 1),
         extra_lags=1,
         estimator="fgls",

@@ -22,7 +22,7 @@ from asymcause.cli import (
     run_pipeline,
 )
 from asymcause.errors import DataError
-from asymcause.montecarlo import DgpConfig, simulate_dgp
+from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
 
 
 def write_series_csv(path, series, transform=None, date_header="DATE",
@@ -392,6 +392,21 @@ class TestMainEntry:
         assert payload["reps"] == 20
         assert set(payload["rates"]) == {f"H{i}" for i in range(1, 11)}
 
+    def test_mc_size_flags_are_dgp_fields(self, tmp_path):
+        out = tmp_path / "rates.json"
+        code = main([
+            "mc-size", "--reps", "20", "--T", "80", "--seed", "9",
+            "--drift", "0.2", "0.1", "--trend", "0.01", "0.0",
+            "--error-correlation", "0.5", "--tail", "t", "--df", "6",
+            "--feedback", "0.3", "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        config = DgpConfig(
+            drift=(0.2, 0.1), trend=(0.01, 0.0), error_correlation=0.5,
+            error_tail="t", error_df=6.0, causal_feedback=0.3, t_obs=80, seed=9,
+        )
+        assert json.loads(out.read_text())["rates"] == empirical_size(config, reps=20)
+
     def test_data_errors_exit_nonzero(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         code = main(["run", "--input", missing, missing])
@@ -405,7 +420,10 @@ class TestMainEntry:
          "lag orders must be >= 1"),
         (["mc-size", "--reps", "0"], "reps must be >= 1"),
         (["mc-size", "--T", "10"], "t_obs must be >= 50"),
-    ], ids=["one-input", "names-count", "zero-lag", "zero-reps", "short-sample"])
+        (["mc-size", "--error-correlation", "1"],
+         "error_correlation must be in (-1, 1)"),
+    ], ids=["one-input", "names-count", "zero-lag", "zero-reps", "short-sample",
+            "unit-correlation"])
     def test_bad_argument_values_exit_2(self, pair_of_csvs, capsys, args, message):
         args = [a for arg in args for a in (pair_of_csvs if arg == "PAIR" else [arg])]
         assert main(args) == 2

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from asymcause import DeterministicSpec, Series, decompose
+from asymcause import Series, decompose
 from asymcause.decomposition import SignedComponents, fit_deterministic, recompose
 from asymcause.errors import DataError, SingularityError
 
-DRIFT = DeterministicSpec("drift")
-NONE = DeterministicSpec("none")
-TREND = DeterministicSpec("drift_and_trend")
+DRIFT, NONE, TREND = "drift", "none", "drift_and_trend"
 
 
-def deterministic_half(values: np.ndarray, spec: DeterministicSpec) -> np.ndarray:
+def deterministic_half(values: np.ndarray, spec: str) -> np.ndarray:
     """Half the fitted deterministic path, rebuilt from fit_deterministic."""
     drift, trend = fit_deterministic(Series(values=values), spec)
     t = np.arange(values.size, dtype=float)
@@ -104,7 +102,8 @@ class TestDecompose:
             assert np.all(np.diff(comps.positive - half) >= -1e-12)
             assert np.all(np.diff(comps.negative - half) <= 1e-12)
 
-    @pytest.mark.parametrize("spec", [NONE, DRIFT, TREND])
+    @pytest.mark.parametrize("spec", [NONE, DRIFT, TREND],
+                             ids=["spec0", "spec1", "spec2"])
     def test_recompose_identity_random_walks(self, spec, rng):
         for _ in range(30):
             values = rng.standard_normal(400).cumsum() + rng.normal(scale=10)
@@ -154,7 +153,7 @@ class TestValidation:
 
     def test_unknown_deterministic_kind(self):
         with pytest.raises(ValueError, match="deterministic"):
-            DeterministicSpec("cubic")
+            decompose(Series(values=[1.0, 2.0, 4.0]), "cubic")
 
     def test_component_length_mismatch_rejected(self):
         with pytest.raises(DataError):

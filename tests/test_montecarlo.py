@@ -13,16 +13,17 @@ class TestDgpConfig:
             DgpConfig(t_obs=20)
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            DgpConfig(drift=(0.1,))
+        # the DGP is always a pair, with or without feedback
+        for drift, trend in [((0.1,), (0.0, 0.0)), ((0.0,), (0.0,)),
+                             ((0.1, 0.1, 0.1), (0.0, 0.0, 0.0)), ((0.1, 0.1), (0.0,))]:
+            for feedback in (None, 0.5):
+                with pytest.raises(ValueError, match="two entries"):
+                    DgpConfig(drift=drift, trend=trend, causal_feedback=feedback)
 
     def test_rejects_bad_correlation(self):
-        with pytest.raises(ValueError):
-            DgpConfig(error_correlation=np.array([[1.0, 1.5], [1.5, 1.0]]))
-
-    def test_rejects_feedback_on_univariate(self):
-        with pytest.raises(ValueError):
-            DgpConfig(drift=(0.0,), trend=(0.0,), causal_feedback=0.5)
+        for rho in (1.0, -1.0, 1.5, -3.0, float("nan")):
+            with pytest.raises(ValueError, match=r"must be in \(-1, 1\)"):
+                DgpConfig(error_correlation=rho)
 
     def test_rejects_low_t_df(self):
         with pytest.raises(ValueError):
@@ -48,13 +49,24 @@ class TestSimulateDgp:
         config = DgpConfig(
             t_obs=10_000,
             seed=22,
-            error_correlation=np.array([[1.0, 0.6], [0.6, 1.0]]),
+            error_correlation=0.6,
         )
         increments = np.column_stack(
             [np.diff(s.values) for s in simulate_dgp(config)]
         )
         corr = np.corrcoef(increments, rowvar=False)
         assert corr[0, 1] == pytest.approx(0.6, abs=0.05)
+
+    def test_correlation_is_one_cholesky_product(self):
+        # rho = 0 keeps the raw draws; otherwise they are multiplied once by
+        # the transposed Cholesky factor of [[1, rho], [rho, 1]]
+        for rho in (0.0, -0.3):
+            series = simulate_dgp(DgpConfig(t_obs=60, seed=5, error_correlation=rho))
+            shocks = np.random.default_rng(5).standard_normal((59, 2))
+            if rho:
+                shocks = shocks @ np.linalg.cholesky([[1.0, rho], [rho, 1.0]]).T
+            for i, s in enumerate(series):
+                np.testing.assert_array_equal(s.values[1:], np.cumsum(shocks[:, i]))
 
     def test_trend_recovered_by_regression(self):
         config = DgpConfig(trend=(0.5, 0.5), t_obs=2000, seed=23)

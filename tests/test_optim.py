@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from asymcause.optim import central_gradient, central_hessian, minimize_bfgs
+from asymcause.optim import GTOL, central_gradient, central_hessian, minimize_bfgs
 
 
 def quadratic(a, b):
@@ -67,4 +67,11 @@ class TestBfgs:
     def test_iteration_budget_respected(self):
         result = minimize_bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=3)
         assert result.iterations <= 3
+        assert not result.converged
+
+    def test_small_change_with_large_gradient_is_not_converged(self):
+        # near f = 1e9 FTOL_REL stops on a step that gains 3e-5, far from x = 0
+        result = minimize_bfgs(lambda x: 1e9 + 50.0 * x[0] ** 2, np.array([1e-3]))
+        assert result.message == "relative objective change below tolerance"
+        assert np.max(np.abs(result.gradient)) > GTOL
         assert not result.converged

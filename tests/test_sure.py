@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcause import DeterministicSpec, Series, build_design, decompose, fgls_fit
+from asymcause import Series, build_design, decompose, fgls_fit
 from asymcause.decomposition import SignedComponents
 from asymcause.errors import (
     InsufficientDataError,
@@ -17,13 +17,10 @@ from asymcause.sure import LayoutEntry, SureSystem, gls_solve, lag_order_table, 
 
 from conftest import exog_two_equation_system, identical_regressor_system
 
-DRIFT = DeterministicSpec("drift")
 
-
-def components_from_walks(seed, t_obs=300, m=2, drift=(0.2, 0.1)):
-    series = simulate_dgp(DgpConfig(drift=drift[:m], trend=(0.0,) * m,
-                                    t_obs=t_obs, seed=seed))
-    return [decompose(s, DRIFT) for s in series]
+def components_from_walks(seed, t_obs=300):
+    series = simulate_dgp(DgpConfig(drift=(0.2, 0.1), t_obs=t_obs, seed=seed))
+    return [decompose(s, "drift") for s in series]
 
 
 def var_components(data: np.ndarray, name: str) -> SignedComponents:
@@ -229,7 +226,7 @@ class TestOls:
         values = np.linspace(0.0, 30.0, 120) + 0.01
         up = decompose(Series(values=values + np.abs(
             np.random.default_rng(3).standard_normal(120)).cumsum(), name="up"),
-            DeterministicSpec("none"))
+            "none")
         other = components_from_walks(seed=12, t_obs=120)[0]
         with pytest.raises(SingularityError, match=r"^equation Z-1 \(up\): "):
             ols_fit(build_design([up, other], 1, 1, extra_lags=1))
@@ -379,10 +376,3 @@ class TestFgls:
         )
         with pytest.raises((SingularityError, NotPositiveDefiniteError)):
             fgls_fit(build_design([flat, other], 1, 1, extra_lags=0))
-
-    def test_invalid_tol(self, rng):
-        system, _ = exog_two_equation_system(rng)
-        with pytest.raises(ValueError):
-            fgls_fit(system, tol=0.0)
-        with pytest.raises(ValueError, match="max_iter"):
-            fgls_fit(system, max_iter=0)

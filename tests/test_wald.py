@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from asymcause import (
-    DeterministicSpec,
     build_design,
     catalog,
     decompose,
@@ -33,7 +32,7 @@ from conftest import exog_two_equation_system
 
 def standard_components(t_obs=303, seed=0):
     series = simulate_dgp(DgpConfig(drift=(0.1, 0.1), t_obs=t_obs, seed=seed))
-    return [decompose(s, DeterministicSpec("drift")) for s in series]
+    return [decompose(s, "drift") for s in series]
 
 
 def standard_layout(p_pos=1, p_neg=1, extra=1, t_obs=303, seed=0):
@@ -201,8 +200,8 @@ class TestRestrictionBuilder:
             restriction_for("H11", system.layout)
 
     def test_missing_symbols(self):
-        series = simulate_dgp(DgpConfig(drift=(0.1,), trend=(0.0,), t_obs=150, seed=3))
-        comps = [decompose(series[0], DeterministicSpec("drift"))]
+        series = simulate_dgp(DgpConfig(drift=(0.1, 0.1), t_obs=150, seed=3))
+        comps = [decompose(series[0], "drift")]
         single = build_design(comps, 1, 1, extra_lags=1)
         with pytest.raises(ValueError, match="2-variable"):
             restriction_for("H1", single.layout)
