@@ -113,11 +113,10 @@ def fit_deterministic(series: Series, kind: str) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def _deterministic_half(
-    n: int, drift: float, trend: float, initial_value: float
-) -> np.ndarray:
+def _deterministic_path(n: int, drift: float, trend: float) -> np.ndarray:
+    """drift*t + trend*t(t+1)/2 for t = 0..n-1: t deterministic increments summed."""
     t = np.arange(n, dtype=float)
-    return (drift * t + trend * t * (t + 1.0) / 2.0 + initial_value) / 2.0
+    return drift * t + trend * t * (t + 1.0) / 2.0
 
 
 def decompose(series: Series, kind: str) -> SignedComponents:
@@ -134,7 +133,7 @@ def decompose(series: Series, kind: str) -> SignedComponents:
     e_pos = np.maximum(innovations, 0.0)
     e_neg = np.minimum(innovations, 0.0)
 
-    half = _deterministic_half(values.size, drift, trend, float(values[0]))
+    half = (_deterministic_path(values.size, drift, trend) + float(values[0])) / 2.0
     positive = half.copy()
     positive[1:] += np.cumsum(e_pos)
     negative = half.copy()

@@ -155,27 +155,23 @@ def constrain_params(
 ) -> tuple[np.ndarray, GarchSpec]:
     """Map the unconstrained optimizer vector to (mean coefficients, GarchSpec)."""
     theta = np.asarray(theta, dtype=float)
-    expected = k_mean + 3 * n + n * (n - 1) // 2 + 1
-    if theta.size != expected:
-        raise ValueError(f"parameter vector has {theta.size} entries, need {expected}")
-    pos = k_mean
-    mean = theta[:pos]
-    omega = np.exp(theta[pos : pos + n])
-    pos += n
-    persistence = _sigmoid(theta[pos : pos + n])
-    pos += n
-    share = _sigmoid(theta[pos : pos + n])
-    pos += n
+    # the blocks that unconstrain_params concatenates, in its order
+    sizes = (k_mean, n, n, n, n * (n - 1) // 2, 1)
+    if theta.size != sum(sizes):
+        raise ValueError(
+            f"parameter vector has {theta.size} entries, need {sum(sizes)}"
+        )
+    mean, log_omega, persistence, share, angles, (log_nu,) = np.split(
+        theta, np.cumsum(sizes)[:-1]
+    )
+    persistence, share = _sigmoid(persistence), _sigmoid(share)
     alpha = persistence * share
     beta = persistence * (1.0 - share)
-    n_angles = n * (n - 1) // 2
-    angles = math.pi * _sigmoid(theta[pos : pos + n_angles])
-    pos += n_angles
-    chol = _angles_to_cholesky(angles, n)
+    chol = _angles_to_cholesky(math.pi * _sigmoid(angles), n)
     corr = chol @ chol.T
     np.fill_diagonal(corr, 1.0)
-    nu = 2.0 + math.exp(theta[pos])
-    return mean.copy(), GarchSpec(omega=omega, alpha=alpha, beta=beta,
+    nu = 2.0 + math.exp(log_nu)
+    return mean.copy(), GarchSpec(omega=np.exp(log_omega), alpha=alpha, beta=beta,
                                   correlation=corr, nu=nu)
 
 

@@ -9,12 +9,13 @@ is the null violated in power studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .decomposition import Series, decompose
+from .decomposition import Series, _deterministic_path, decompose
 from .sure import build_design, fgls_fit, ols_fit
 from .wald import HYPOTHESIS_IDS, catalog, run_catalog
 
@@ -40,6 +41,8 @@ class DgpConfig:
             vec = tuple(float(v) for v in getattr(self, field_name))
             if len(vec) != 2:
                 raise ValueError(f"{field_name} must have two entries")
+            if not all(map(math.isfinite, vec)):
+                raise ValueError(f"{field_name} must be finite")
             object.__setattr__(self, field_name, vec)
         if not -1.0 < self.error_correlation < 1.0:
             raise ValueError("error_correlation must be in (-1, 1)")
@@ -47,8 +50,15 @@ class DgpConfig:
             raise ValueError("t_obs must be >= 50")
         if self.error_tail not in ERROR_TAILS:
             raise ValueError(f"error_tail must be one of {ERROR_TAILS}")
-        if self.error_tail == "t" and not self.error_df > 2:
-            raise ValueError("error_df must exceed 2 for unit-variance scaling")
+        if self.error_tail == "t" and not 2 < self.error_df < math.inf:
+            raise ValueError("error_df must be finite and exceed 2 for "
+                             "unit-variance scaling")
+        if self.causal_feedback is not None and not math.isfinite(self.causal_feedback):
+            raise ValueError("causal_feedback must be finite")
+        seeds = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in seeds):
+            raise ValueError("seed must be a non-negative integer or a tuple of "
+                             f"them, got {self.seed!r}")
 
 
 def simulate_dgp(config: DgpConfig) -> list[Series]:
@@ -67,15 +77,11 @@ def simulate_dgp(config: DgpConfig) -> list[Series]:
     if config.causal_feedback is not None:
         # lagged positive innovations of variable 2 feed variable 1's increment
         shocks[1:, 0] += config.causal_feedback * np.maximum(shocks[:-1, 1], 0.0)
-    t = np.arange(1, t_obs, dtype=float)
     out = []
     for i in range(2):
-        levels = np.zeros(t_obs)
-        levels[1:] = (
-            config.drift[i] * t
-            + config.trend[i] * t * (t + 1.0) / 2.0
-            + np.cumsum(shocks[:, i])
-        )
+        path = _deterministic_path(t_obs, config.drift[i], config.trend[i])
+        levels = np.zeros(t_obs)  # path[0] is -0.0 when drift and trend are negative
+        levels[1:] = path[1:] + np.cumsum(shocks[:, i])
         out.append(Series(values=levels, name=f"var{i + 1}"))
     return out
 

@@ -18,7 +18,10 @@ import numpy as np
 from .decomposition import SignedComponents
 from .errors import InsufficientDataError, NotPositiveDefiniteError, SingularityError
 
-CRITERIA = ("aic", "sbc", "hq")
+# per-parameter penalty of each lag-selection criterion at sample size t_c
+_PENALTIES = {"aic": lambda t_c: 2.0, "sbc": np.log,
+              "hq": lambda t_c: 2.0 * np.log(np.log(t_c))}
+CRITERIA = tuple(_PENALTIES)
 ESTIMATORS = ("ols", "fgls", "garch_t")
 FGLS_TOL = 1e-8  # FGLS stops when no coefficient moves by this much ...
 FGLS_MAX_ITER = 100  # ... or after this many GLS solves
@@ -230,9 +233,9 @@ def _block_criterion_values(
 ) -> np.ndarray:
     """Information-criterion value of a VAR(p) on one sign block, p=1..p_max.
 
-    All candidates are estimated on the sample aligned at p_max so the values
-    are comparable; the criterion is the log-determinant of the residual
-    covariance plus the standard per-parameter penalty.
+    All candidates are fitted on the sample aligned at p_max, as the first
+    1 + m*p columns of one design, so the values are comparable; the criterion
+    is the log-determinant of the residual covariance plus a _PENALTIES term.
     """
     n_obs, m = block.shape
     t_c = n_obs - p_max
@@ -242,26 +245,20 @@ def _block_criterion_values(
             f"{1 + m * p_max} parameters per equation"
         )
     y = block[p_max:]
+    design = _lagged_design(block, p_max, p_max)
+    penalty = _PENALTIES[criterion](t_c)
     values = np.empty(p_max)
     for p in range(1, p_max + 1):
-        x = _lagged_design(block, p_max, p)
+        x = design[:, : 1 + m * p]
         coef, *_ = np.linalg.lstsq(x, y, rcond=None)
         resid = y - x @ coef
-        sigma = resid.T @ resid / t_c
-        sign, logdet = np.linalg.slogdet(np.atleast_2d(sigma))
+        sign, logdet = np.linalg.slogdet(resid.T @ resid / t_c)
         if sign <= 0:
             raise SingularityError(
                 "degenerate residual covariance in lag selection "
                 "(a component may have zero stochastic variation)"
             )
-        n_params = m * (1 + m * p)
-        if criterion == "aic":
-            penalty = 2.0
-        elif criterion == "sbc":
-            penalty = np.log(t_c)
-        else:  # hq
-            penalty = 2.0 * np.log(np.log(t_c))
-        values[p - 1] = logdet + penalty * n_params / t_c
+        values[p - 1] = logdet + penalty * (m * (1 + m * p)) / t_c
     return values
 
 

@@ -422,8 +422,15 @@ class TestMainEntry:
         (["mc-size", "--T", "10"], "t_obs must be >= 50"),
         (["mc-size", "--error-correlation", "1"],
          "error_correlation must be in (-1, 1)"),
+        (["mc-size", "--seed", "-1"],
+         "seed must be a non-negative integer or a tuple of them, got -1"),
+        (["mc-size", "--tail", "t", "--df", "inf"],
+         "error_df must be finite and exceed 2 for unit-variance scaling"),
+        (["mc-size", "--drift", "nan", "0"], "drift must be finite"),
+        (["mc-size", "--feedback", "nan"], "causal_feedback must be finite"),
     ], ids=["one-input", "names-count", "zero-lag", "zero-reps", "short-sample",
-            "unit-correlation"])
+            "unit-correlation", "negative-seed", "infinite-df", "nan-drift",
+            "nan-feedback"])
     def test_bad_argument_values_exit_2(self, pair_of_csvs, capsys, args, message):
         args = [a for arg in args for a in (pair_of_csvs if arg == "PAIR" else [arg])]
         assert main(args) == 2

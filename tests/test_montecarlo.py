@@ -26,8 +26,25 @@ class TestDgpConfig:
                 DgpConfig(error_correlation=rho)
 
     def test_rejects_low_t_df(self):
-        with pytest.raises(ValueError):
-            DgpConfig(error_tail="t", error_df=1.5)
+        for df in (1.5, 2.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="error_df must be finite and exceed 2"):
+                DgpConfig(error_tail="t", error_df=df)
+        DgpConfig(error_tail="gaussian", error_df=float("inf"))  # df unused
+
+    def test_rejects_non_finite_settings(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for field_name in ("drift", "trend"):
+                with pytest.raises(ValueError, match=f"^{field_name} must be finite"):
+                    DgpConfig(**{field_name: (0.0, bad)})
+            with pytest.raises(ValueError, match="^causal_feedback must be finite"):
+                DgpConfig(causal_feedback=bad)
+
+    def test_rejects_bad_seeds(self):
+        for seed in (-1, (0, -1), 1.5, (2, "3"), None):
+            with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+                DgpConfig(seed=seed)
+        for seed in (0, 7, (0,), (3, 4), np.int64(5)):
+            assert DgpConfig(seed=seed).seed == seed
 
 
 class TestSimulateDgp:

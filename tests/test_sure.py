@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,36 @@ class TestSelectLags:
         comps = components_from_walks(seed=11, t_obs=400)
         p_pos, p_neg = lag_order_table(comps, 4, criterion)["selected"]
         assert 1 <= p_pos <= 4 and 1 <= p_neg <= 4
+
+    @pytest.mark.parametrize("criterion", ["aic", "sbc", "hq"])
+    def test_criterion_values_match_textbook_var_fits(self, criterion):
+        # oracle: each VAR(p) fitted on its own on the p_max-aligned sample,
+        # log det of the residual covariance plus m(1+mp)/T_c times the penalty
+        for seed in (31, 32, 33):
+            comps = components_from_walks(seed=seed, t_obs=120)
+            for p_max in range(1, 5):
+                table = lag_order_table(comps, p_max, criterion)
+                for sign in ("positive", "negative"):
+                    block = np.column_stack([getattr(c, sign) for c in comps])
+                    t_c, m = block.shape[0] - p_max, block.shape[1]
+                    penalty = {"aic": 2.0, "sbc": np.log(t_c),
+                               "hq": 2.0 * np.log(np.log(t_c))}[criterion]
+                    expected = []
+                    for p in range(1, p_max + 1):
+                        x = np.array([
+                            [1.0, *(block[t - lag, j] for lag in range(1, p + 1)
+                                    for j in range(m))]
+                            for t in range(p_max, block.shape[0])
+                        ])
+                        y = block[p_max:]
+                        coef = scipy.linalg.lstsq(x, y)[0]
+                        resid = y - x @ coef
+                        _, logdet = np.linalg.slogdet(resid.T @ resid / t_c)
+                        expected.append(logdet + penalty * m * (1 + m * p) / t_c)
+                    np.testing.assert_allclose(table[sign], expected, rtol=0, atol=1e-9)
+                selected = tuple(int(np.argmin(table[s])) + 1
+                                 for s in ("positive", "negative"))
+                assert table["selected"] == selected
 
 
 class TestSureSystem:
