@@ -263,7 +263,8 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         for warning in caught:
             diagnostics.setdefault("warnings", []).append(str(warning.message))
         estimate = garch_fit.mean
-        fit_extra = {"loglik": float(garch_fit.loglik), "nu": float(garch_fit.garch.nu)}
+        fit_extra = {"loglik": float(garch_fit.loglik), "nu": float(garch_fit.garch.nu),
+                     "gradient_max": garch_fit.gradient_max, "stop": garch_fit.stop}
     diagnostics["estimation"] = {
         "estimator": estimate.estimator,
         "iterations": estimate.iterations,

@@ -21,11 +21,12 @@ from .errors import (
     LikelihoodError,
     SingularityError,
 )
-from .optim import central_hessian, minimize_bfgs
+from .optim import minimize_bfgs, newton_finish
 from .sure import CoefficientEstimate, SureSystem, _lagged_design, fgls_fit
 from .wald import chisq_sf
 
 _INTERIOR = 1e-12  # probabilities are clipped into the open unit interval
+_STIRLING_FROM = 1e3  # gamma-function gaps use series from nu / 2 = this on
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,8 @@ class GarchFit:
     garch: GarchSpec
     loglik: float
     information: np.ndarray  # over all transformed parameters, mean block first
+    gradient_max: float  # max |score| at the returned point
+    stop: str  # the rule that ended the fit
     trace: tuple[float, ...] = ()  # log-likelihood at accepted iterates
 
     def __post_init__(self):
@@ -150,20 +153,22 @@ def _correlation_to_angles(corr: np.ndarray) -> np.ndarray:
     return angles
 
 
-def constrain_params(
-    theta: np.ndarray, k_mean: int, n: int
-) -> tuple[np.ndarray, GarchSpec]:
-    """Map the unconstrained optimizer vector to (mean coefficients, GarchSpec)."""
+def _blocks(theta: np.ndarray, k_mean: int, n: int) -> list[np.ndarray]:
+    """theta cut into the blocks that unconstrain_params concatenates."""
     theta = np.asarray(theta, dtype=float)
-    # the blocks that unconstrain_params concatenates, in its order
     sizes = (k_mean, n, n, n, n * (n - 1) // 2, 1)
     if theta.size != sum(sizes):
         raise ValueError(
             f"parameter vector has {theta.size} entries, need {sum(sizes)}"
         )
-    mean, log_omega, persistence, share, angles, (log_nu,) = np.split(
-        theta, np.cumsum(sizes)[:-1]
-    )
+    return np.split(theta, np.cumsum(sizes)[:-1])
+
+
+def constrain_params(
+    theta: np.ndarray, k_mean: int, n: int
+) -> tuple[np.ndarray, GarchSpec]:
+    """Map the unconstrained optimizer vector to (mean coefficients, GarchSpec)."""
+    mean, log_omega, persistence, share, angles, (log_nu,) = _blocks(theta, k_mean, n)
     persistence, share = _sigmoid(persistence), _sigmoid(share)
     alpha = persistence * share
     beta = persistence * (1.0 - share)
@@ -199,36 +204,41 @@ def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
 
 
 def _conditional_variances(resid: np.ndarray, spec: GarchSpec) -> np.ndarray:
-    """GARCH(1,1) recursion per equation.
+    """GARCH(1,1) recursion per equation, on Python floats.
 
     Presample squared shock and variance are both set to the sample mean
     square of each equation's residuals, so h_0 = omega + (alpha+beta)*s2
     and the recursion needs no presample observations.
     """
     t_eff, n = resid.shape
-    s2 = np.mean(resid**2, axis=0)
-    h = np.empty((t_eff, n))
-    h[0] = spec.omega + (spec.alpha + spec.beta) * s2
     sq = resid**2
-    for t in range(1, t_eff):
-        h[t] = spec.omega + spec.alpha * sq[t - 1] + spec.beta * h[t - 1]
+    s2 = np.mean(sq, axis=0)
+    h = np.empty((t_eff, n))
+    for i in range(n):
+        omega, alpha, beta = float(spec.omega[i]), float(spec.alpha[i]), float(spec.beta[i])
+        h_t = omega + (alpha + beta) * float(s2[i])
+        path = [h_t]
+        for sq_t in sq[:-1, i].tolist():
+            h_t = omega + alpha * sq_t + beta * h_t
+            path.append(h_t)
+        h[:, i] = path
     return h
 
 
-def garch_t_loglik(
-    coefficients: np.ndarray, spec: GarchSpec, system: SureSystem
-) -> float:
-    """Joint log-likelihood of mean coefficients and GARCH-t parameters.
+class _Forward(NamedTuple):
+    """One likelihood evaluation's intermediates, shared by value and score."""
 
-    The conditional covariance is H_t = D_t * correlation * D_t with D_t the
-    diagonal of conditional standard deviations; the multivariate t density is
-    scaled by (nu-2)/nu so H_t is the actual conditional covariance.
-    """
+    value: float
+    h: np.ndarray  # (T, n) conditional variances
+    std_resid: np.ndarray  # (T, n) z = e / sqrt(h)
+    chol: np.ndarray  # lower Cholesky factor of the correlation
+    half: np.ndarray  # (n, T) chol^-1 z'
+    quad: np.ndarray  # (T,) q = z' correlation^-1 z
+
+
+def _forward(resid: np.ndarray, spec: GarchSpec) -> _Forward:
+    """garch_t_loglik at (T, n) residuals, with the intermediates."""
     n = spec.n
-    if system.n_equations != n:
-        raise ValueError("GarchSpec dimension does not match the system")
-    resid = system.residuals(np.asarray(coefficients, dtype=float))
-    t_eff = resid.shape[0]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             h = _conditional_variances(resid, spec)
@@ -242,11 +252,7 @@ def garch_t_loglik(
             logdet_h = logdet_corr + np.sum(np.log(h), axis=1)
             nu = spec.nu
             scale = (nu - 2.0) / nu  # scale matrix S_t = scale * H_t
-            const = (
-                math.lgamma((nu + n) / 2.0)
-                - math.lgamma(nu / 2.0)
-                - 0.5 * n * math.log(nu * math.pi)
-            )
+            const = _lgamma_gap(nu, n) - 0.5 * n * math.log(nu * math.pi)
             terms = (
                 const
                 - 0.5 * (logdet_h + n * math.log(scale))
@@ -257,7 +263,133 @@ def garch_t_loglik(
             raise LikelihoodError(f"log-likelihood evaluation failed: {exc}") from None
     if not np.isfinite(value):
         raise LikelihoodError("log-likelihood is not finite")
-    return value
+    return _Forward(value, h, std_resid, chol, half, quad)
+
+
+def garch_t_loglik(
+    coefficients: np.ndarray, spec: GarchSpec, system: SureSystem
+) -> float:
+    """Joint log-likelihood of mean coefficients and GARCH-t parameters.
+
+    The conditional covariance is H_t = D_t * correlation * D_t with D_t the
+    diagonal of conditional standard deviations; the multivariate t density is
+    scaled by (nu-2)/nu so H_t is the actual conditional covariance.
+    """
+    if system.n_equations != spec.n:
+        raise ValueError("GarchSpec dimension does not match the system")
+    resid = system.residuals(np.asarray(coefficients, dtype=float))
+    return _forward(resid, spec).value
+
+
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0: recurrence up to x >= 10, then the asymptotic series."""
+    shift = 0.0
+    while x < 10.0:
+        shift -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    # Bernoulli terms B_2k / (2k x^2k), k = 1..7
+    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (
+        1 / 240 - inv2 * (1 / 132 - inv2 * (691 / 32760 - inv2 / 12))))))
+    return shift + math.log(x) - 0.5 / x - series
+
+
+def _lgamma_gap(nu: float, n: int) -> float:
+    """lgamma((nu + n) / 2) - lgamma(nu / 2), by Stirling's series for large nu.
+
+    The difference of two lgamma values near x log x, x = nu / 2, would lose
+    about 1e-16 x log x, which swamps the likelihood once nu reaches ~1e11.
+    """
+    x, a = nu / 2.0, n / 2.0
+    if x < _STIRLING_FROM:
+        return math.lgamma((nu + n) / 2.0) - math.lgamma(x)
+    return (x - 0.5) * math.log1p(a / x) + a * math.log(x + a) - a - a / (12.0 * x * (x + a))
+
+
+def _digamma_gap(nu: float, n: int) -> float:
+    """psi((nu + n) / 2) - psi(nu / 2), by the asymptotic series for large nu."""
+    x, a = nu / 2.0, n / 2.0
+    if x < _STIRLING_FROM:
+        return _digamma((nu + n) / 2.0) - _digamma(x)
+    return (math.log1p(a / x) + a / (2.0 * x * (x + a))
+            + a * (2.0 * x + a) / (12.0 * (x * (x + a)) ** 2))
+
+
+def _angles_gradient(angles: np.ndarray, n: int, chol_bar: np.ndarray) -> np.ndarray:
+    """Reverse pass of _angles_to_cholesky: d/d angles given d/d chol."""
+    grad = np.empty(angles.size)
+    idx = 0
+    for i in range(1, n):
+        row = angles[idx : idx + i]
+        remaining = np.concatenate([[1.0], np.cumprod(np.sin(row))])
+        remaining_bar = chol_bar[i, i]
+        for j in range(i - 1, -1, -1):
+            cos, sin = math.cos(row[j]), math.sin(row[j])
+            grad[idx + j] = remaining[j] * (remaining_bar * cos - chol_bar[i, j] * sin)
+            remaining_bar = chol_bar[i, j] * cos + remaining_bar * sin
+        idx += i
+    return grad
+
+
+def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
+    """Gradient of the log-likelihood with respect to the vector theta.
+
+    theta is the unconstrained vector of constrain_params, mean block first.
+    One forward pass, then the adjoint of the variance recursion,
+    lambda_t = dl_t/dh_t + beta * lambda_{t+1}, which also reaches the mean
+    coefficients through the presample variance (Bollerslev 1990;
+    Fiorentini, Sentana & Calzolari 2003).
+    """
+    k_mean, n = system.n_coefficients, system.n_equations
+    mean, spec = constrain_params(theta, k_mean, n)
+    _, _, persistence, share, angles, _ = _blocks(theta, k_mean, n)
+    persistence, share, angle_share = map(_sigmoid, (persistence, share, angles))
+    resid = system.residuals(mean)
+    fwd = _forward(resid, spec)
+    t_eff = resid.shape[0]
+    nu, h, z = spec.nu, fwd.h, fwd.std_resid
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            u = np.linalg.solve(fwd.chol.T, fwd.half).T  # (T, n) correlation^-1 z
+            weight = (nu + n) / (nu - 2.0 + fwd.quad)  # -2 dl_t/dq_t
+            resid_bar = -weight[:, None] * u / np.sqrt(h)  # dl/de through z only
+            h_bar = (weight[:, None] * u * z - 1.0) / (2.0 * h)  # dl/dh, h_t alone
+            lam = np.empty((t_eff, n))  # dL/dh_t through every later h
+            for i in range(n):
+                beta, lam_t, path = float(spec.beta[i]), 0.0, []
+                for g in h_bar[::-1, i].tolist():
+                    lam_t = g + beta * lam_t
+                    path.append(lam_t)
+                lam[::-1, i] = path
+            sq = resid**2
+            s2 = np.mean(sq, axis=0)  # h_0 = omega + (alpha + beta) * s2
+            omega_bar = lam.sum(axis=0)
+            alpha_bar = np.sum(lam[1:] * sq[:-1], axis=0) + lam[0] * s2
+            beta_bar = np.sum(lam[1:] * h[:-1], axis=0) + lam[0] * s2
+            resid_bar[:-1] += 2.0 * spec.alpha * lam[1:] * resid[:-1]
+            resid_bar += 2.0 * (spec.alpha + spec.beta) * lam[0] / t_eff * resid
+            mean_bar = -np.concatenate(
+                [x.T @ resid_bar[:, i] for i, x in enumerate(system.regressors)]
+            )
+            # dL/dR = (sum_t w_t u_t u_t' - T R^-1) / 2, chained through R = C C'
+            corr_inv = np.linalg.inv(spec.correlation)
+            corr_bar = 0.5 * ((weight[:, None] * u).T @ u - t_eff * corr_inv)
+            angle_bar = _angles_gradient(math.pi * angle_share, n, 2.0 * corr_bar @ fwd.chol)
+            nu_bar = 0.5 * np.sum(
+                _digamma_gap(nu, n) - n / (nu - 2.0) - np.log1p(fwd.quad / (nu - 2.0))
+                + weight * fwd.quad / (nu - 2.0)
+            )
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise LikelihoodError(f"score evaluation failed: {exc}") from None
+    # Jacobians of the exp, sigmoid and pi * sigmoid transforms
+    return np.concatenate([
+        mean_bar,
+        omega_bar * spec.omega,
+        (alpha_bar * share + beta_bar * (1.0 - share)) * persistence * (1.0 - persistence),
+        (alpha_bar - beta_bar) * persistence * share * (1.0 - share),
+        angle_bar * math.pi * angle_share * (1.0 - angle_share),
+        [nu_bar * (nu - 2.0)],
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +422,10 @@ def fit_sure_garch_t(
     """Maximize the GARCH-t likelihood over transformed parameters.
 
     Mean coefficients start from FGLS (or the supplied estimate); variance
-    parameters start from moment-based values.  The reported covariance of
-    the mean coefficients is the corresponding block of the inverse observed
-    information (negative numerical Hessian of the log-likelihood).
+    parameters start from moment-based values.  BFGS on the analytic score,
+    then Newton steps on the observed information: central differences of
+    the score.  The reported covariance of the mean coefficients is the
+    corresponding block of the inverse information at the returned point.
     """
     base = init if init is not None else fgls_fit(system)
     k_mean = system.n_coefficients
@@ -312,9 +445,12 @@ def fit_sure_garch_t(
         except (LikelihoodError, OverflowError, ValueError):
             return np.inf
 
-    result = minimize_bfgs(objective, theta0, max_iter=max_iter)
+    def gradient(theta: np.ndarray) -> np.ndarray:
+        return -garch_t_score(theta, system)
+
+    result = minimize_bfgs(objective, gradient, theta0, max_iter=max_iter)
+    result, information = newton_finish(objective, gradient, result)
     mean_hat, spec_hat = constrain_params(result.x, k_mean, n)
-    information = central_hessian(objective, result.x)
     try:
         info_inv = np.linalg.inv(information)
     except np.linalg.LinAlgError:
@@ -336,6 +472,8 @@ def fit_sure_garch_t(
         garch=spec_hat,
         loglik=-result.fun,
         information=information,
+        gradient_max=float(np.max(np.abs(result.gradient))),
+        stop=result.message,
         trace=tuple(-f for f in result.f_trace),
     )
 

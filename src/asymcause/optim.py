@@ -1,9 +1,14 @@
-"""Quasi-Newton minimizer with numerical derivatives.
+"""Quasi-Newton minimizer on a caller-supplied gradient, with a Newton finish.
 
-BFGS on the inverse Hessian with Armijo backtracking; gradients and Hessians
-come from central differences so callers only supply the objective.  The
-objective may return +inf outside its valid region; backtracking retreats
-from such points.
+BFGS on the inverse Hessian with Armijo backtracking.  The caller supplies
+the objective and its exact gradient; `newton_finish` then polishes the BFGS
+point with Newton steps on the Hessian formed from central differences of
+that gradient.  The objective may return +inf outside its valid region;
+backtracking retreats from such points.
+
+`central_gradient` and `central_hessian` difference the objective alone.
+The minimizers do not use them; they are the oracles that tests check
+analytic gradients and Hessians against.
 """
 
 from __future__ import annotations
@@ -17,6 +22,10 @@ GTOL = 1e-5  # converged when max |gradient component| falls below this
 FTOL_REL = 1e-10  # also stop when one step changes f by less than this * max(1, |f|)
 GRADIENT_STEP = 1e-5  # central-difference steps are these * max(1, |x_i|)
 HESSIAN_STEP = 1e-4
+NEWTON_STEPS = 5  # most Newton steps that newton_finish takes
+
+Objective = Callable[[np.ndarray], float]
+Gradient = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -28,10 +37,10 @@ class OptimResult:
     converged: bool
     message: str
     f_trace: tuple[float, ...]  # objective at accepted iterates, initial included
-    n_evals: int
+    n_evals: int  # objective evaluations
 
 
-def central_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+def central_gradient(fun: Objective, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     probes = np.diag(GRADIENT_STEP * np.maximum(1.0, np.abs(x)))
     return np.array(
@@ -39,7 +48,7 @@ def central_gradient(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.nd
     )
 
 
-def central_hessian(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+def central_hessian(fun: Objective, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     k = x.size
     steps = HESSIAN_STEP * np.maximum(1.0, np.abs(x))
@@ -57,29 +66,62 @@ def central_hessian(fun: Callable[[np.ndarray], float], x: np.ndarray) -> np.nda
     return (hess + hess.T) / 2.0
 
 
-def minimize_bfgs(
-    fun: Callable[[np.ndarray], float], x0: np.ndarray, max_iter: int = 500
-) -> OptimResult:
-    """Minimize fun from x0; stop on small gradient or small relative change.
+def gradient_jacobian(grad: Gradient, x: np.ndarray) -> np.ndarray:
+    """Hessian as the symmetrized central-difference Jacobian of grad.
 
-    Line search is plain backtracking on the Armijo condition, so the
-    objective decreases strictly at every accepted iterate.  Whatever stops
-    the loop (message says what), the result is converged only when max
-    |gradient| at the returned point is below GTOL.
+    Steps are HESSIAN_STEP * max(1, |x_i|): 2k gradient calls.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    k = x.size
-    evals = [0]
+    x = np.asarray(x, dtype=float)
+    steps = HESSIAN_STEP * np.maximum(1.0, np.abs(x))
+    columns = [(grad(x + e) - grad(x - e)) / (2.0 * s)
+               for s, e in zip(steps, np.diag(steps))]
+    jac = np.column_stack(columns)
+    return (jac + jac.T) / 2.0
 
+
+def _counted(fun: Objective, evals: list[int]) -> Objective:
     def f(z: np.ndarray) -> float:
         evals[0] += 1
         value = fun(z)
         return float(value) if np.isfinite(value) else np.inf
 
+    return f
+
+
+def _armijo(f: Objective, x: np.ndarray, f_x: float, direction: np.ndarray,
+            slope: float):
+    """First of 1, 1/2, 1/4, ... (60 tries) giving sufficient decrease, or None."""
+    alpha = 1.0
+    for _ in range(60):
+        x_new = x + alpha * direction
+        f_new = f(x_new)
+        if f_new <= f_x + 1e-4 * alpha * slope:
+            return x_new, f_new
+        alpha *= 0.5
+    return None
+
+
+def minimize_bfgs(
+    fun: Objective, grad: Gradient, x0: np.ndarray, max_iter: int = 500
+) -> OptimResult:
+    """Minimize fun, whose gradient is grad, from x0.
+
+    Stops on small gradient or small relative change.  grad is called only
+    at accepted iterates, where fun is finite.  The line search is plain
+    backtracking on the Armijo condition, so the objective decreases
+    strictly at every accepted iterate.  Whatever stops the loop (message
+    says what), the result is converged only when max |gradient| at the
+    returned point is below GTOL.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    k = x.size
+    evals = [0]
+    f = _counted(fun, evals)
+
     f_x = f(x)
     if not np.isfinite(f_x):
         raise ValueError("objective is not finite at the starting point")
-    grad = central_gradient(f, x)
+    g = np.asarray(grad(x), dtype=float)
     h_inv = np.eye(k)
     trace = [f_x]
     message = "maximum iterations reached"
@@ -87,32 +129,25 @@ def minimize_bfgs(
     first_update = True
 
     while iteration < max_iter:
-        if np.max(np.abs(grad)) < GTOL:
+        if np.max(np.abs(g)) < GTOL:
             message = "gradient norm below tolerance"
             break
         iteration += 1
-        direction = -h_inv @ grad
-        slope = float(direction @ grad)
+        direction = -h_inv @ g
+        slope = float(direction @ g)
         if slope >= 0.0:  # stale curvature; restart from steepest descent
             h_inv = np.eye(k)
-            direction = -grad
-            slope = float(direction @ grad)
+            direction = -g
+            slope = float(direction @ g)
             first_update = True
-        alpha = 1.0
-        accepted = False
-        for _ in range(60):
-            x_new = x + alpha * direction
-            f_new = f(x_new)
-            if f_new <= f_x + 1e-4 * alpha * slope:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
+        accepted = _armijo(f, x, f_x, direction, slope)
+        if accepted is None:
             message = "line search failed to make progress"
             break
-        grad_new = central_gradient(f, x_new)
+        x_new, f_new = accepted
+        g_new = np.asarray(grad(x_new), dtype=float)
         step = x_new - x
-        y = grad_new - grad
+        y = g_new - g
         sy = float(step @ y)
         if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(y):
             if first_update:
@@ -125,7 +160,7 @@ def minimize_bfgs(
                 + rho * np.outer(step, step)
             )
         f_change = abs(f_x - f_new)
-        x, f_x, grad = x_new, f_new, grad_new
+        x, f_x, g = x_new, f_new, g_new
         trace.append(f_x)
         if f_change < FTOL_REL * max(1.0, abs(f_x)):
             message = "relative objective change below tolerance"
@@ -134,10 +169,60 @@ def minimize_bfgs(
     return OptimResult(
         x=x,
         fun=f_x,
-        gradient=grad,
+        gradient=g,
         iterations=iteration,
-        converged=bool(np.max(np.abs(grad)) < GTOL),
+        converged=bool(np.max(np.abs(g)) < GTOL),
         message=message,
         f_trace=tuple(trace),
         n_evals=evals[0],
     )
+
+
+def newton_finish(
+    fun: Objective, grad: Gradient, start: OptimResult
+) -> tuple[OptimResult, np.ndarray]:
+    """Newton steps from a minimizer's result, and the Hessian where they end.
+
+    The Hessian is `gradient_jacobian(grad, x)`.  While max |gradient| is at
+    least GTOL and the Hessian is positive definite, take an Armijo-guarded
+    Newton step, at most NEWTON_STEPS of them.  Accepted steps extend the
+    iteration count and the trace; message names the rule that stopped.
+    """
+    evals = [0]
+    f = _counted(fun, evals)
+    x, f_x, g = start.x, start.fun, start.gradient
+    trace = list(start.f_trace)
+    steps = 0
+    while True:
+        hessian = gradient_jacobian(grad, x)
+        if np.max(np.abs(g)) < GTOL:
+            message = "gradient norm below tolerance"
+            break
+        if steps == NEWTON_STEPS:
+            message = "Newton step limit reached"
+            break
+        try:
+            chol = np.linalg.cholesky(hessian)
+        except np.linalg.LinAlgError:
+            message = "Hessian is not positive definite"
+            break
+        direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
+        accepted = _armijo(f, x, f_x, direction, float(direction @ g))
+        if accepted is None:
+            message = "Newton line search failed to make progress"
+            break
+        x, f_x = accepted
+        g = np.asarray(grad(x), dtype=float)
+        trace.append(f_x)
+        steps += 1
+    result = OptimResult(
+        x=x,
+        fun=f_x,
+        gradient=g,
+        iterations=start.iterations + steps,
+        converged=bool(np.max(np.abs(g)) < GTOL),
+        message=message,
+        f_trace=tuple(trace),
+        n_evals=start.n_evals + evals[0],
+    )
+    return result, hessian

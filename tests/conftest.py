@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from asymcause.mgarch import GarchSpec, simulate_ccc_garch_t
 from asymcause.sure import LayoutEntry, SureSystem
 
 
@@ -71,6 +72,22 @@ def identical_regressor_system(rng: np.random.Generator, t_obs: int = 80):
         LayoutEntry("gamma+_2,1", 2, "+", 2, True),
     )
     return SureSystem(regressands=(y1, y2), regressors=(x, x), layout=layout)
+
+
+def garch_pair_levels() -> np.ndarray:
+    """(160, 2) levels of the GARCH test pair: a 0.01 drift plus the partial
+    sums of CCC-GARCH(1,1)-t innovations (seed 8)."""
+    spec = GarchSpec(
+        omega=np.array([0.02, 0.02]),
+        alpha=np.array([0.2, 0.2]),
+        beta=np.array([0.7, 0.7]),
+        correlation=np.array([[1.0, 0.4], [0.4, 1.0]]),
+        nu=6.0,
+    )
+    eps = simulate_ccc_garch_t(spec, 159, seed=8)
+    return 0.01 * np.arange(160)[:, None] + np.vstack(
+        [np.zeros(2), np.cumsum(eps, axis=0)]
+    )
 
 
 @pytest.fixture

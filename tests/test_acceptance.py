@@ -187,7 +187,6 @@ def test_criterion_08_empirical_power():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_09_garch_recovery():
     truth = GarchSpec(
         omega=np.array([0.05, 0.05]),

@@ -23,6 +23,9 @@ from asymcause.cli import (
 )
 from asymcause.errors import DataError
 from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
+from asymcause.optim import GTOL
+
+from conftest import garch_pair_levels
 
 
 def write_series_csv(path, series, transform=None, date_header="DATE",
@@ -207,22 +210,9 @@ class TestPipeline:
         second = render_report(run_pipeline(config), "json")
         assert first == second
 
-    @pytest.mark.slow
     def test_garch_branch_end_to_end(self, tmp_path):
         # heteroskedastic pair so the GARCH path is the realistic choice
-        from asymcause.mgarch import GarchSpec, simulate_ccc_garch_t
-
-        spec = GarchSpec(
-            omega=np.array([0.02, 0.02]),
-            alpha=np.array([0.2, 0.2]),
-            beta=np.array([0.7, 0.7]),
-            correlation=np.array([[1.0, 0.4], [0.4, 1.0]]),
-            nu=6.0,
-        )
-        eps = simulate_ccc_garch_t(spec, 159, seed=8)
-        levels = 0.01 * np.arange(160)[:, None] + np.vstack(
-            [np.zeros(2), np.cumsum(eps, axis=0)]
-        )
+        levels = garch_pair_levels()
         paths = []
         for i, name in enumerate(["a", "b"]):
             holder = type("Holder", (), {"values": levels[:, i]})()
@@ -236,8 +226,13 @@ class TestPipeline:
             warnings.simplefilter("ignore")
             report = run_pipeline(config)
         assert report.provenance["estimator"] == "garch_t"
-        assert report.diagnostics["estimation"]["estimator"] == "garch_t"
-        assert np.isfinite(report.diagnostics["estimation"]["loglik"])
+        estimation = report.diagnostics["estimation"]
+        assert estimation["estimator"] == "garch_t"
+        assert np.isfinite(estimation["loglik"])
+        assert estimation["converged"]
+        assert estimation["gradient_max"] < GTOL
+        assert estimation["stop"] == "gradient norm below tolerance"
+        assert parse_report(report.to_json()) == report
         # 158 observations for 39 parameters: the small-sample warning is reported
         assert report.diagnostics["warnings"] == [
             "effective sample 158 is below 10x the 39 free parameters; "

@@ -3,21 +3,28 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asymcause import fgls_fit
+from asymcause import fgls_fit, optim
+from asymcause.decomposition import Series, decompose
 from asymcause.errors import InsufficientDataError, LikelihoodError, SingularityError
 from asymcause.mgarch import (
     GarchSpec,
     arch_lm_diag,
     fit_sure_garch_t,
     garch_t_loglik,
+    garch_t_score,
     simulate_ccc_garch_t,
 )
-from asymcause.mgarch import constrain_params, unconstrain_params
+from asymcause.mgarch import _digamma, _initial_spec, constrain_params, unconstrain_params
+from asymcause.optim import GTOL, gradient_jacobian
+from asymcause.sure import build_design
 
-from conftest import intercept_system
+from conftest import garch_pair_levels, intercept_system
 
 
 def random_spec(rng, n):
@@ -34,6 +41,46 @@ def random_spec(rng, n):
         correlation=corr,
         nu=rng.uniform(3.0, 25.0),
     )
+
+
+def pair_system(levels, p_pos=1, p_neg=1):
+    """The 4-equation signed-component system of a (T, 2) pair of levels."""
+    components = [decompose(Series(levels[:, i]), "drift") for i in range(2)]
+    return build_design(components, p_pos, p_neg, 1)
+
+
+@pytest.fixture(scope="module")
+def garch_pair():
+    return pair_system(garch_pair_levels())
+
+
+@pytest.fixture(scope="module")
+def garch_pair_fit(garch_pair):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 158 observations for 39 parameters
+        return fit_sure_garch_t(garch_pair)
+
+
+def reference_loglik(coefficients, spec, system):
+    """The log-likelihood as first written, with the recursion on numpy rows."""
+    resid = system.residuals(coefficients)
+    n = spec.n
+    s2 = np.mean(resid**2, axis=0)
+    h = np.empty(resid.shape)
+    h[0] = spec.omega + (spec.alpha + spec.beta) * s2
+    sq = resid**2
+    for t in range(1, resid.shape[0]):
+        h[t] = spec.omega + spec.alpha * sq[t - 1] + spec.beta * h[t - 1]
+    chol = np.linalg.cholesky(spec.correlation)
+    quad = np.sum(np.linalg.solve(chol, (resid / np.sqrt(h)).T) ** 2, axis=0)
+    logdet_h = 2.0 * np.sum(np.log(np.diag(chol))) + np.sum(np.log(h), axis=1)
+    nu = spec.nu
+    scale = (nu - 2.0) / nu
+    const = (math.lgamma((nu + n) / 2.0) - math.lgamma(nu / 2.0)
+             - 0.5 * n * math.log(nu * math.pi))
+    terms = (const - 0.5 * (logdet_h + n * math.log(scale))
+             - 0.5 * (nu + n) * np.log1p(quad / scale / nu))
+    return float(np.sum(terms))
 
 
 class TestGarchSpecValidation:
@@ -137,6 +184,66 @@ class TestLoglik:
             garch_t_loglik(np.zeros(2), spec, intercept_system(data))
 
 
+class TestScore:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), signed_pair=st.booleans(),
+           spread=st.floats(0.0, 1.0))
+    def test_matches_central_differences(self, seed, signed_pair, spread):
+        rng = np.random.default_rng(seed)
+        draws = simulate_ccc_garch_t(random_spec(rng, 2), 120, seed=seed)
+        if signed_pair:
+            levels = np.vstack([np.zeros(2), np.cumsum(draws, axis=0)])
+            system = pair_system(levels, *rng.integers(1, 3, size=2))
+        else:
+            system = intercept_system(draws)
+        k_mean, n = system.n_coefficients, system.n_equations
+        theta = unconstrain_params(fgls_fit(system).coefficients, random_spec(rng, n))
+        theta += spread * rng.standard_normal(theta.size)
+
+        def loglik(t):
+            return garch_t_loglik(*constrain_params(t, k_mean, n), system)
+
+        steps = 1e-6 * np.maximum(1.0, np.abs(theta))
+        differences = np.array([(loglik(theta + e) - loglik(theta - e)) / (2.0 * h)
+                                for h, e in zip(steps, np.diag(steps))])
+        # the differences themselves carry rounding error ~ eps |loglik| / step
+        rounding = 10.0 * np.finfo(float).eps * abs(loglik(theta)) / steps
+        score = garch_t_score(theta, system)
+        assert np.all(np.abs(score - differences)
+                      <= 1e-6 * np.maximum(1.0, np.abs(differences)) + rounding)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.5, 1e12))
+    def test_digamma_matches_mpmath(self, x):
+        # relative; the 1e-15 floor covers the zero of psi near x = 1.4616
+        with mpmath.workdps(30):
+            exact = float(mpmath.digamma(x))
+        assert abs(_digamma(x) - exact) <= 1e-11 * abs(exact) + 1e-15
+
+    def test_loglik_matches_the_row_recursion_bit_for_bit(self, garch_pair):
+        start = fgls_fit(garch_pair)
+        spec = _initial_spec(start.residuals)
+        np.testing.assert_array_equal(
+            garch_t_loglik(start.coefficients, spec, garch_pair),
+            reference_loglik(start.coefficients, spec, garch_pair),
+        )
+
+    def test_standard_errors_are_step_stable(self, garch_pair, garch_pair_fit,
+                                             monkeypatch):
+        fit = garch_pair_fit
+        assert np.min(np.linalg.eigvalsh(fit.information)) > 0
+        theta = unconstrain_params(fit.mean.coefficients, fit.garch)
+        k_mean, step = garch_pair.n_coefficients, optim.HESSIAN_STEP
+        errors = {}
+        for factor in (1.0, 0.5, 2.0):
+            monkeypatch.setattr(optim, "HESSIAN_STEP", factor * step)
+            info = gradient_jacobian(lambda t: -garch_t_score(t, garch_pair), theta)
+            assert np.min(np.linalg.eigvalsh(info)) > 0
+            errors[factor] = np.sqrt(np.diag(np.linalg.inv(info))[:k_mean])
+        for factor in (0.5, 2.0):
+            assert np.max(np.abs(errors[factor] / errors[1.0] - 1.0)) <= 1e-3
+
+
 class TestSimulator:
     def test_unconditional_covariance_lln(self):
         spec = GarchSpec(omega=np.array([2.0, 0.5]), alpha=np.zeros(2),
@@ -206,6 +313,14 @@ class TestFit:
         assert all(later >= earlier for earlier, later in zip(trace, trace[1:]))
         assert fit.mean.estimator == "garch_t"
         assert fit.information.shape[0] == 2 + 3 * 2 + 1 + 1
+
+    def test_signed_pair_fit_reaches_a_stationary_point(self, garch_pair_fit):
+        fit = garch_pair_fit
+        assert fit.mean.converged
+        assert fit.gradient_max < GTOL
+        assert fit.stop == "gradient norm below tolerance"
+        assert fit.loglik >= fit.trace[0]
+        assert np.all(np.isfinite(np.diag(fit.mean.covariance)))
 
     def test_small_sample_warning(self, rng):
         data = rng.standard_normal((60, 2))

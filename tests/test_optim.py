@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from asymcause.optim import GTOL, central_gradient, central_hessian, minimize_bfgs
+from asymcause.optim import (
+    GTOL,
+    central_gradient,
+    central_hessian,
+    gradient_jacobian,
+    minimize_bfgs,
+    newton_finish,
+)
+from asymcause import optim
 
 
 def quadratic(a, b):
@@ -15,6 +23,16 @@ def quadratic(a, b):
 
 def rosenbrock(x):
     return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+
+
+def rosenbrock_gradient(x):
+    return np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                     200.0 * (x[1] - x[0] ** 2)])
+
+
+def bfgs(fun, x0, **kwargs):
+    """minimize_bfgs on the central-difference gradient of fun."""
+    return minimize_bfgs(fun, lambda x: central_gradient(fun, x), x0, **kwargs)
 
 
 class TestDerivatives:
@@ -31,22 +49,27 @@ class TestDerivatives:
         hess = central_hessian(quadratic(a, np.zeros(3)), x)
         np.testing.assert_allclose(hess, a, atol=1e-5)
 
+    def test_jacobian_of_quadratic_gradient(self, rng):
+        a = np.array([[4.0, 1.0, 0.0], [1.0, 2.0, -0.5], [0.0, -0.5, 3.0]])
+        x = rng.standard_normal(3)
+        np.testing.assert_allclose(gradient_jacobian(lambda z: a @ z, x), a, atol=1e-10)
+
 
 class TestBfgs:
     def test_quadratic_minimum(self):
         a = np.array([[3.0, 0.5], [0.5, 1.5]])
         b = np.array([1.0, -2.0])
-        result = minimize_bfgs(quadratic(a, b), np.zeros(2))
+        result = bfgs(quadratic(a, b), np.zeros(2))
         assert result.converged
         np.testing.assert_allclose(result.x, np.linalg.solve(a, b), atol=1e-5)
 
     def test_rosenbrock(self):
-        result = minimize_bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=2000)
+        result = bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=2000)
         assert result.converged
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-3)
 
     def test_trace_strictly_decreasing(self):
-        result = minimize_bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=2000)
+        result = bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=2000)
         trace = result.f_trace
         assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
 
@@ -56,22 +79,61 @@ class TestBfgs:
                 return np.inf
             return (x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2
 
-        result = minimize_bfgs(boxed, np.array([1.9, -1.9]))
+        result = bfgs(boxed, np.array([1.9, -1.9]))
         assert result.converged
         np.testing.assert_allclose(result.x, [1.0, -0.5], atol=1e-5)
 
     def test_infinite_start_rejected(self):
         with pytest.raises(ValueError, match="starting point"):
-            minimize_bfgs(lambda x: np.inf, np.zeros(2))
+            bfgs(lambda x: np.inf, np.zeros(2))
 
     def test_iteration_budget_respected(self):
-        result = minimize_bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=3)
+        result = bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=3)
         assert result.iterations <= 3
         assert not result.converged
 
     def test_small_change_with_large_gradient_is_not_converged(self):
         # near f = 1e9 FTOL_REL stops on a step that gains 3e-5, far from x = 0
-        result = minimize_bfgs(lambda x: 1e9 + 50.0 * x[0] ** 2, np.array([1e-3]))
+        result = bfgs(lambda x: 1e9 + 50.0 * x[0] ** 2, np.array([1e-3]))
         assert result.message == "relative objective change below tolerance"
         assert np.max(np.abs(result.gradient)) > GTOL
         assert not result.converged
+
+
+class TestNewtonFinish:
+    def test_polishes_a_loose_bfgs_point(self):
+        loose = minimize_bfgs(rosenbrock, rosenbrock_gradient, np.array([1.1, 1.2]),
+                              max_iter=2)
+        assert not loose.converged
+        result, hessian = newton_finish(rosenbrock, rosenbrock_gradient, loose)
+        assert result.converged
+        assert result.message == "gradient norm below tolerance"
+        assert result.iterations == 2 + len(result.f_trace) - len(loose.f_trace)
+        assert result.f_trace[: len(loose.f_trace)] == loose.f_trace
+        trace = result.f_trace
+        assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
+        np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-6)
+        np.testing.assert_allclose(hessian, [[802.0, -400.0], [-400.0, 200.0]], rtol=1e-5)
+
+    def test_stops_where_the_hessian_is_indefinite(self):
+        def saddle(x):
+            return x[0] ** 2 - x[1] ** 2
+
+        def saddle_gradient(x):
+            return np.array([2.0 * x[0], -2.0 * x[1]])
+
+        start = minimize_bfgs(saddle, saddle_gradient, np.array([1.0, 1.0]), max_iter=0)
+        result, hessian = newton_finish(saddle, saddle_gradient, start)
+        assert result.message == "Hessian is not positive definite"
+        assert not result.converged
+        np.testing.assert_array_equal(result.x, start.x)
+        np.testing.assert_allclose(hessian, np.diag([2.0, -2.0]), atol=1e-9)
+
+    def test_step_limit(self, monkeypatch):
+        monkeypatch.setattr(optim, "NEWTON_STEPS", 1)
+        start = minimize_bfgs(rosenbrock, rosenbrock_gradient, np.array([-1.2, 1.0]),
+                              max_iter=0)
+        result, _ = newton_finish(rosenbrock, rosenbrock_gradient, start)
+        assert result.message == "Newton step limit reached"
+        assert result.iterations == 1
+        assert result.fun < start.fun
