@@ -207,27 +207,25 @@ def _log_series(series: Series) -> Series:
 
 def run_pipeline(config: AnalysisConfig) -> Report:
     """Load, decompose, estimate and test; assemble the full report."""
-    names = config.names or (None,) * len(config.inputs)
-    series = [
+    first, second = (
         load_csv(path, config.date_column, config.value_column, name)
-        for path, name in zip(config.inputs, names)
-    ]
-    lengths = {len(s) for s in series}
-    if len(lengths) != 1:
+        for path, name in zip(config.inputs, config.names or (None, None))
+    )
+    if len(first) != len(second):
         raise DataError(
-            "input series lengths differ: "
-            + ", ".join(f"{s.name}={len(s)}" for s in series)
+            f"input series lengths differ: {first.name}={len(first)}, "
+            f"{second.name}={len(second)}"
         )
-    stamps = [s.timestamps for s in series]
+    stamps = first.timestamps, second.timestamps
     if stamps[0] != stamps[1]:
         row = next(i for i, (a, b) in enumerate(zip(*stamps)) if a != b)
         raise DataError(
             f"input dates differ from observation {row + 1}: "
-            f"{series[0].name}={stamps[0][row]!r}, {series[1].name}={stamps[1][row]!r}"
+            f"{first.name}={stamps[0][row]!r}, {second.name}={stamps[1][row]!r}"
         )
     if config.log_transform:
-        series = [_log_series(s) for s in series]
-    components = [decompose(s, config.deterministic) for s in series]
+        first, second = _log_series(first), _log_series(second)
+    components = [decompose(s, config.deterministic) for s in (first, second)]
 
     diagnostics: dict = {}
     for comp in components:
@@ -237,7 +235,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
     if config.fixed_lags is not None:
         p_pos, p_neg = config.fixed_lags
     else:
-        table = lag_order_table(components, config.p_max, config.criterion)
+        table = lag_order_table(*components, config.p_max, config.criterion)
         p_pos, p_neg = table["selected"]
         diagnostics["lag_selection"] = {
             "criterion": config.criterion,
@@ -247,7 +245,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
             "selected": [p_pos, p_neg],
         }
 
-    system = build_design(components, p_pos, p_neg, config.extra_lags)
+    system = build_design(*components, p_pos, p_neg, config.extra_lags)
     fgls = fgls_fit(system)
 
     estimator_used = config.estimator
@@ -272,7 +270,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         **fit_extra,
     }
 
-    specs = catalog(system.layout, system.variable_names, config.sum_restrictions)
+    specs = catalog(system, config.sum_restrictions)
     results = run_catalog(estimate, specs)
 
     estimates_rows = []
@@ -301,9 +299,9 @@ def run_pipeline(config: AnalysisConfig) -> Report:
     provenance = {
         "variables": list(system.variable_names),
         "sample": {
-            "start": series[0].timestamps[0],
-            "end": series[0].timestamps[-1],
-            "observations": len(series[0]),
+            "start": first.timestamps[0],
+            "end": first.timestamps[-1],
+            "observations": len(first),
             "effective_sample": system.effective_sample,
         },
         "lag_orders": [p_pos, p_neg],

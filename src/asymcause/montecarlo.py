@@ -115,10 +115,10 @@ def empirical_size(
         rep_config = replace(config, seed=base_seed + (rep,))
         series = simulate_dgp(rep_config)
         components = [decompose(s, deterministic) for s in series]
-        system = build_design(components, *fixed_lags, extra_lags)
+        system = build_design(*components, *fixed_lags, extra_lags)
         fit = fgls_fit(system) if estimator == "fgls" else ols_fit(system)
         if specs is None:
-            specs = catalog(system.layout, system.variable_names)
+            specs = catalog(system)
         for result in run_catalog(fit, specs):
             if result.p_value < level:
                 rejections[result.hypothesis.id] += 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -25,16 +24,6 @@ CRITERIA = tuple(_PENALTIES)
 ESTIMATORS = ("ols", "fgls", "garch_t")
 FGLS_TOL = 1e-8  # FGLS stops when no coefficient moves by this much ...
 FGLS_MAX_ITER = 100  # ... or after this many GLS solves
-
-
-def _slope_symbol(eq_var: int) -> str:
-    # Variable 1's equations carry beta coefficients, variable 2's gamma;
-    # higher dimensions get a generic theta<i>.
-    if eq_var == 1:
-        return "beta"
-    if eq_var == 2:
-        return "gamma"
-    return f"theta{eq_var}"
 
 
 @dataclass(frozen=True)
@@ -162,50 +151,47 @@ def _lagged_design(block: np.ndarray, start: int, depth: int) -> np.ndarray:
 
 
 def build_design(
-    components: Sequence[SignedComponents],
+    first: SignedComponents,
+    second: SignedComponents,
     p_pos: int,
     p_neg: int,
     extra_lags: int = 1,
 ) -> SureSystem:
-    """Assemble the 2m-equation block system from m decomposed variables.
+    """Assemble the four-equation block system of a decomposed pair.
 
-    Equations 1..m regress each positive component on lags 1..p_pos+extra_lags
-    of all positive components; equations m+1..2m do the same for the negative
-    components with p_neg.  Lags beyond the selected order are the unrestricted
-    augmentation lags and are excluded from causality restrictions.
+    Equations 1 and 2 regress each positive component on lags
+    1..p_pos+extra_lags of both positive components; equations 3 and 4 do the
+    same for the negative components with p_neg.  Lags beyond the selected
+    order are the unrestricted augmentation lags and are excluded from
+    causality restrictions.
     """
     if p_pos < 1 or p_neg < 1:
         raise ValueError("lag orders must be >= 1")
     if extra_lags < 0:
         raise ValueError("extra_lags must be >= 0")
-    m = len(components)
-    if m < 1:
-        raise ValueError("need at least one decomposed variable")
-    n_obs = len(components[0])
-    if any(len(c) != n_obs for c in components):
-        raise ValueError("all components must have equal length")
+    n_obs = len(first)
+    if len(second) != n_obs:
+        raise ValueError("both components must have equal length")
 
     start = max(p_pos, p_neg) + extra_lags
     t_eff = n_obs - start
-    names = tuple(c.name or f"var{i + 1}" for i, c in enumerate(components))
+    names = (first.name or "var1", second.name or "var2")
 
     regressands: list[np.ndarray] = []
     regressors: list[np.ndarray] = []
     layout: list[LayoutEntry] = []
     for sign, depth, order in (("+", p_pos + extra_lags, p_pos),
                                ("-", p_neg + extra_lags, p_neg)):
-        k_eq = 1 + m * depth
+        k_eq = 1 + 2 * depth
         if t_eff <= k_eq:
             raise InsufficientDataError(
                 f"effective sample {t_eff} <= {k_eq} per-equation parameters "
                 f"(length {n_obs}, lags {max(p_pos, p_neg)}+{extra_lags})"
             )
-        data = [c.positive if sign == "+" else c.negative for c in components]
+        data = [c.positive if sign == "+" else c.negative for c in (first, second)]
         design = _lagged_design(np.column_stack(data), start, depth)
-        for i in range(m):
-            eq_var = i + 1
-            symbol = _slope_symbol(eq_var)
-            regressands.append(data[i][start:])
+        for eq_var, symbol in ((1, "beta"), (2, "gamma")):
+            regressands.append(data[eq_var - 1][start:])
             # one array per equation: when two equations share one, numpy
             # forms X_i'X_j by syrk instead of gemm, which rounds differently
             regressors.append(design.copy())
@@ -213,11 +199,9 @@ def build_design(
                 LayoutEntry(f"lambda{sign}_{eq_var}", eq_var, sign, None, False)
             )
             layout.extend(
-                LayoutEntry(
-                    f"{symbol}{sign}_{j + 1},{lag}", eq_var, sign, j + 1, lag <= order
-                )
+                LayoutEntry(f"{symbol}{sign}_{j},{lag}", eq_var, sign, j, lag <= order)
                 for lag in range(1, depth + 1)
-                for j in range(m)
+                for j in (1, 2)
             )
 
     return SureSystem(
@@ -263,7 +247,10 @@ def _block_criterion_values(
 
 
 def lag_order_table(
-    components: Sequence[SignedComponents], p_max: int, criterion: str = "sbc"
+    first: SignedComponents,
+    second: SignedComponents,
+    p_max: int,
+    criterion: str = "sbc",
 ) -> dict:
     """Criterion values per candidate order for both sign blocks.
 
@@ -274,10 +261,10 @@ def lag_order_table(
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     pos = _block_criterion_values(
-        np.column_stack([c.positive for c in components]), p_max, criterion
+        np.column_stack([first.positive, second.positive]), p_max, criterion
     )
     neg = _block_criterion_values(
-        np.column_stack([c.negative for c in components]), p_max, criterion
+        np.column_stack([first.negative, second.negative]), p_max, criterion
     )
     return {
         "criterion": criterion,

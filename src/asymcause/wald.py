@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularityError
-from .sure import CoefficientEstimate, LayoutEntry
+from .sure import CoefficientEstimate, SureSystem
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,9 @@ _LABELS = {
 
 
 def restriction_for(
-    hypothesis_id: str,
-    layout: Sequence[LayoutEntry],
-    variable_names: Sequence[str] | None = None,
-    sum_restrictions: bool = False,
+    hypothesis_id: str, system: SureSystem, sum_restrictions: bool = False
 ) -> HypothesisSpec:
-    """Build the restriction matrix for one catalog hypothesis.
+    """Build the restriction matrix for one catalog hypothesis on a system.
 
     With sum_restrictions=False (default) each no-causality null zeroes every
     restricted lag coefficient individually; with True it restricts only the
@@ -124,20 +121,11 @@ def restriction_for(
     """
     if hypothesis_id not in _NULLS:
         raise ValueError(f"unknown hypothesis id {hypothesis_id!r}")
-    layout = tuple(layout)
+    layout = system.layout
     groups: dict[tuple[int, str], list[int]] = {}
     for k, entry in enumerate(layout):
         if entry.causal:
             groups.setdefault((entry.eq_var, entry.eq_sign), []).append(k)
-
-    def group(key: tuple[int, str]) -> list[int]:
-        if key not in groups:
-            eq_var, sign = key
-            raise ValueError(
-                f"layout has no restricted lag of variable {3 - eq_var} in the "
-                f"{sign} equation of variable {eq_var}; is this a 2-variable system?"
-            )
-        return groups[key]
 
     def joined(positions: list[int], sign: str) -> str:
         return f" {sign} ".join(layout[k].name for k in positions)
@@ -145,23 +133,19 @@ def restriction_for(
     rows: list[tuple[list[int], list[int], str]] = []  # (+1 at, -1 at, text)
     for term in _NULLS[hypothesis_id]:
         if isinstance(term[0], tuple):  # symmetry: equal sums of two groups
-            plus, minus = group(term[0]), group(term[1])
+            plus, minus = groups[term[0]], groups[term[1]]
             text = f"{joined(plus, '+')} - {joined(minus, '-')} = 0"
             rows.append((plus, minus, text))
         elif sum_restrictions:
-            rows.append((group(term), [], f"{joined(group(term), '+')} = 0"))
+            rows.append((groups[term], [], f"{joined(groups[term], '+')} = 0"))
         else:
-            rows.extend(([k], [], f"{layout[k].name} = 0") for k in group(term))
+            rows.extend(([k], [], f"{layout[k].name} = 0") for k in groups[term])
     restriction = np.zeros((len(rows), len(layout)))
     for row, (plus, minus, _) in zip(restriction, rows):
         row[plus] = 1.0
         row[minus] = -1.0
 
-    v1, v2 = "variable 1", "variable 2"
-    if variable_names:
-        v1 = variable_names[0] or v1
-        if len(variable_names) > 1:
-            v2 = variable_names[1] or v2
+    v1, v2 = system.variable_names
     return HypothesisSpec(
         id=hypothesis_id,
         restriction=restriction,
@@ -171,18 +155,15 @@ def restriction_for(
 
 
 def catalog(
-    layout: Sequence[LayoutEntry],
-    variable_names: Sequence[str] | None = None,
-    sum_restrictions: bool = False,
+    system: SureSystem, sum_restrictions: bool = False
 ) -> tuple[HypothesisSpec, ...]:
-    """All ten hypotheses in catalog order for one coefficient layout.
+    """All ten hypotheses in catalog order for one system's coefficient layout.
 
-    The specs depend only on the layout, so build them once and test every
-    estimate on that layout against them.
+    The specs depend only on the layout and the names, so build them once and
+    test every estimate on that layout against them.
     """
     return tuple(
-        restriction_for(hid, layout, variable_names, sum_restrictions)
-        for hid in HYPOTHESIS_IDS
+        restriction_for(hid, system, sum_restrictions) for hid in HYPOTHESIS_IDS
     )
 
 

@@ -27,7 +27,7 @@ from asymcause.mgarch import (
 )
 from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
 from asymcause.sure import ols_fit
-from asymcause.wald import HypothesisSpec, chisq_sf, restriction_for, wald_test
+from asymcause.wald import HypothesisSpec, chisq_sf, wald_test
 
 from conftest import exog_two_equation_system, identical_regressor_system, \
     intercept_system

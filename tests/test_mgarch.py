@@ -46,7 +46,7 @@ def random_spec(rng, n):
 def pair_system(levels, p_pos=1, p_neg=1):
     """The 4-equation signed-component system of a (T, 2) pair of levels."""
     components = [decompose(Series(levels[:, i]), "drift") for i in range(2)]
-    return build_design(components, p_pos, p_neg, 1)
+    return build_design(*components, p_pos, p_neg, 1)
 
 
 @pytest.fixture(scope="module")

@@ -50,7 +50,7 @@ def random_system(rng: np.random.Generator, widths, t_obs: int = 40) -> SureSyst
 class TestBuildDesign:
     def test_counts_with_augmentation(self):
         comps = components_from_walks(seed=1, t_obs=303)
-        system = build_design(comps, 1, 1, extra_lags=1)
+        system = build_design(*comps, 1, 1, extra_lags=1)
         assert system.n_equations == 4
         assert system.effective_sample == 301
         assert all(x.shape == (301, 5) for x in system.regressors)
@@ -64,20 +64,20 @@ class TestBuildDesign:
 
     def test_asymmetric_orders(self):
         comps = components_from_walks(seed=2, t_obs=200)
-        system = build_design(comps, 2, 1, extra_lags=0)
+        system = build_design(*comps, 2, 1, extra_lags=0)
         assert system.effective_sample == 198
         widths = [x.shape[1] for x in system.regressors]
         assert widths == [5, 5, 3, 3]
 
     def test_no_augmentation_means_all_slopes_restricted(self):
         comps = components_from_walks(seed=3)
-        system = build_design(comps, 1, 1, extra_lags=0)
+        system = build_design(*comps, 1, 1, extra_lags=0)
         slope_entries = [e for e in system.layout if e.reg_var is not None]
         assert all(e.restricted for e in slope_entries)
 
     def test_blocks_do_not_mix_signs(self):
         comps = components_from_walks(seed=4, t_obs=120)
-        system = build_design(comps, 1, 1, extra_lags=1)
+        system = build_design(*comps, 1, 1, extra_lags=1)
         start = 2
         for eq in range(2):  # positive equations: columns are lagged positives
             design = system.regressors[eq]
@@ -98,7 +98,7 @@ class TestBuildDesign:
 
     def test_layout_names_unique_and_complete(self):
         comps = components_from_walks(seed=5)
-        system = build_design(comps, 1, 1, extra_lags=1)
+        system = build_design(*comps, 1, 1, extra_lags=1)
         names = [e.name for e in system.layout]
         assert len(set(names)) == len(names)
         for expected in ("lambda+_1", "lambda-_2", "beta+_2,1", "beta-_1,2",
@@ -108,20 +108,20 @@ class TestBuildDesign:
     def test_insufficient_observations(self):
         comps = components_from_walks(seed=6, t_obs=60)
         with pytest.raises(InsufficientDataError):
-            build_design(comps, 20, 20, extra_lags=1)
+            build_design(*comps, 20, 20, extra_lags=1)
 
     def test_bad_arguments(self):
         comps = components_from_walks(seed=7, t_obs=80)
         with pytest.raises(ValueError):
-            build_design(comps, 0, 1)
+            build_design(*comps, 0, 1)
         with pytest.raises(ValueError):
-            build_design(comps, 1, 1, extra_lags=-1)
+            build_design(*comps, 1, 1, extra_lags=-1)
 
     def test_every_equation_gets_its_own_design_array(self):
         # equations of one sign block have equal designs; were they one array,
         # numpy would form X_i'X_i by syrk instead of gemm, which rounds
         # differently and moves the FGLS estimates by a few parts in a million
-        system = build_design(components_from_walks(seed=8), 2, 1, extra_lags=1)
+        system = build_design(*components_from_walks(seed=8), 2, 1, extra_lags=1)
         xs = system.regressors
         np.testing.assert_array_equal(xs[0], xs[1])
         for i in range(len(xs)):
@@ -135,28 +135,28 @@ class TestSelectLags:
         seeds = 25
         for r in range(seeds):
             comps = components_from_walks(seed=(400, r), t_obs=500)
-            if lag_order_table(comps, 6, "sbc")["selected"] == (1, 1):
+            if lag_order_table(*comps, 6, "sbc")["selected"] == (1, 1):
                 hits += 1
         assert hits >= 0.9 * seeds
 
     def test_p_max_one_is_trivial(self):
         comps = components_from_walks(seed=8)
-        assert lag_order_table(comps, 1, "sbc")["selected"] == (1, 1)
+        assert lag_order_table(*comps, 1, "sbc")["selected"] == (1, 1)
 
     def test_p_max_too_large(self):
         comps = components_from_walks(seed=9, t_obs=60)
         with pytest.raises(InsufficientDataError):
-            lag_order_table(comps, 25, "sbc")
+            lag_order_table(*comps, 25, "sbc")
 
     def test_unknown_criterion(self):
         comps = components_from_walks(seed=10)
         with pytest.raises(ValueError, match="criterion"):
-            lag_order_table(comps, 2, "cp")
+            lag_order_table(*comps, 2, "cp")
 
     @pytest.mark.parametrize("criterion", ["aic", "sbc", "hq"])
     def test_all_criteria_run(self, criterion):
         comps = components_from_walks(seed=11, t_obs=400)
-        p_pos, p_neg = lag_order_table(comps, 4, criterion)["selected"]
+        p_pos, p_neg = lag_order_table(*comps, 4, criterion)["selected"]
         assert 1 <= p_pos <= 4 and 1 <= p_neg <= 4
 
     @pytest.mark.parametrize("criterion", ["aic", "sbc", "hq"])
@@ -166,7 +166,7 @@ class TestSelectLags:
         for seed in (31, 32, 33):
             comps = components_from_walks(seed=seed, t_obs=120)
             for p_max in range(1, 5):
-                table = lag_order_table(comps, p_max, criterion)
+                table = lag_order_table(*comps, p_max, criterion)
                 for sign in ("positive", "negative"):
                     block = np.column_stack([getattr(c, sign) for c in comps])
                     t_c, m = block.shape[0] - p_max, block.shape[1]
@@ -238,7 +238,7 @@ class TestOls:
             SignedComponents(positive=pos[:, i], negative=neg[:, i], name=f"v{i + 1}")
             for i in range(2)
         ]
-        system = build_design(comps, 1, 1, extra_lags=0)
+        system = build_design(*comps, 1, 1, extra_lags=0)
         fit = ols_fit(system)
         truth = np.concatenate(
             [
@@ -260,7 +260,7 @@ class TestOls:
             "none")
         other = components_from_walks(seed=12, t_obs=120)[0]
         with pytest.raises(SingularityError, match=r"^equation Z-1 \(up\): "):
-            ols_fit(build_design([up, other], 1, 1, extra_lags=1))
+            ols_fit(build_design(up, other, 1, 1, extra_lags=1))
 
 
 class TestFgls:
@@ -328,7 +328,7 @@ class TestFgls:
             )
             for i in range(2)
         ]
-        system = build_design(comps, 2, 1, extra_lags=1)
+        system = build_design(*comps, 2, 1, extra_lags=1)
         assert [x.shape[1] for x in system.regressors] == [7, 7, 5, 5]
         n, t_eff = system.n_equations, system.effective_sample
         scale = rng.standard_normal((n, n))
@@ -374,7 +374,7 @@ class TestFgls:
 
     def test_estimate_shapes_and_properties(self):
         comps = components_from_walks(seed=13)
-        system = build_design(comps, 1, 1, extra_lags=1)
+        system = build_design(*comps, 1, 1, extra_lags=1)
         fit = fgls_fit(system)
         assert fit.estimator == "fgls"
         assert fit.converged
@@ -406,4 +406,4 @@ class TestFgls:
             np.random.default_rng(5).standard_normal(100).cumsum(), "walk"
         )
         with pytest.raises((SingularityError, NotPositiveDefiniteError)):
-            fgls_fit(build_design([flat, other], 1, 1, extra_lags=0))
+            fgls_fit(build_design(flat, other, 1, 1, extra_lags=0))
