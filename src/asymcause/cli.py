@@ -262,7 +262,9 @@ def run_pipeline(config: AnalysisConfig) -> Report:
             diagnostics.setdefault("warnings", []).append(str(warning.message))
         estimate = garch_fit.mean
         fit_extra = {"loglik": float(garch_fit.loglik), "nu": float(garch_fit.garch.nu),
-                     "gradient_max": garch_fit.gradient_max, "stop": garch_fit.stop}
+                     "gradient_max": garch_fit.gradient_max, "stop": garch_fit.stop,
+                     "n_evals": garch_fit.n_evals,
+                     "information_condition": garch_fit.information_condition}
     diagnostics["estimation"] = {
         "estimator": estimate.estimator,
         "iterations": estimate.iterations,

@@ -27,6 +27,9 @@ from .wald import chisq_sf
 
 _INTERIOR = 1e-12  # probabilities are clipped into the open unit interval
 _STIRLING_FROM = 1e3  # gamma-function gaps use series from nu / 2 = this on
+# The fit refuses sigmoid-mapped coordinates beyond this: sigmoid(30) = 1 - 9.4e-14
+# keeps every transform's slope nonzero, while from ~36.7 on the sigmoid rounds to 1.
+_LOGIT_LIMIT = 30.0
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,14 @@ class GarchSpec:
     beta: np.ndarray  # n GARCH loadings in [0, 1), alpha + beta < 1
     correlation: np.ndarray  # n x n constant conditional correlation
     nu: float  # t degrees of freedom, > 2
+
+    @classmethod
+    def _trusted(cls, omega, alpha, beta, correlation, nu) -> "GarchSpec":
+        """A spec that is valid by construction: float arrays, unchecked."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(omega=omega, alpha=alpha, beta=beta, nu=float(nu),
+                             correlation=(correlation + correlation.T) / 2.0)
+        return spec
 
     def __post_init__(self):
         omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
@@ -88,6 +99,7 @@ class GarchFit:
     information: np.ndarray  # over all transformed parameters, mean block first
     gradient_max: float  # max |score| at the returned point
     stop: str  # the rule that ended the fit
+    n_evals: int  # log-likelihood evaluations by BFGS and the Newton finish
     trace: tuple[float, ...] = ()  # log-likelihood at accepted iterates
 
     def __post_init__(self):
@@ -95,6 +107,11 @@ class GarchFit:
             raise ValueError("log-likelihood must be finite")
         info = np.asarray(self.information, dtype=float)
         object.__setattr__(self, "information", (info + info.T) / 2.0)
+
+    @property
+    def information_condition(self) -> float:
+        """2-norm condition number of the information matrix."""
+        return float(np.linalg.cond(self.information))
 
 
 class ArchLmResult(NamedTuple):
@@ -176,8 +193,9 @@ def constrain_params(
     corr = chol @ chol.T
     np.fill_diagonal(corr, 1.0)
     nu = 2.0 + math.exp(log_nu)
-    return mean.copy(), GarchSpec(omega=np.exp(log_omega), alpha=alpha, beta=beta,
-                                  correlation=corr, nu=nu)
+    # in the admissible region for every finite theta, up to the sigmoid
+    # rounding to 1 that the fit's _LOGIT_LIMIT keeps it away from
+    return mean.copy(), GarchSpec._trusted(np.exp(log_omega), alpha, beta, corr, nu)
 
 
 def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
@@ -397,6 +415,18 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
+    """The fit's objective; +inf where the likelihood fails, and where a
+    sigmoid-mapped coordinate (persistence, share, angle) passes _LOGIT_LIMIT."""
+    k_mean, n = system.n_coefficients, system.n_equations
+    if np.max(np.abs(theta[k_mean + n : -1])) > _LOGIT_LIMIT:
+        return np.inf
+    try:
+        return -garch_t_loglik(*constrain_params(theta, k_mean, n), system)
+    except (LikelihoodError, OverflowError, ValueError):
+        return np.inf
+
+
 def _initial_spec(resid: np.ndarray) -> GarchSpec:
     n = resid.shape[1]
     s2 = np.mean(resid**2, axis=0)
@@ -423,9 +453,13 @@ def fit_sure_garch_t(
 
     Mean coefficients start from FGLS (or the supplied estimate); variance
     parameters start from moment-based values.  BFGS on the analytic score,
+    its inverse Hessian seeded from the observed information at the start,
     then Newton steps on the observed information: central differences of
-    the score.  The reported covariance of the mean coefficients is the
-    corresponding block of the inverse information at the returned point.
+    the score.  The objective is +inf once a persistence, share or angle
+    coordinate passes +-_LOGIT_LIMIT, so the fit stops short of a boundary
+    (alpha or beta = 0, alpha + beta = 1) instead of saturating the map.
+    The reported covariance of the mean coefficients is the corresponding
+    block of the inverse information at the returned point.
     """
     base = init if init is not None else fgls_fit(system)
     k_mean = system.n_coefficients
@@ -439,11 +473,7 @@ def fit_sure_garch_t(
         )
 
     def objective(theta: np.ndarray) -> float:
-        try:
-            mean, spec = constrain_params(theta, k_mean, n)
-            return -garch_t_loglik(mean, spec, system)
-        except (LikelihoodError, OverflowError, ValueError):
-            return np.inf
+        return _negative_loglik(theta, system)
 
     def gradient(theta: np.ndarray) -> np.ndarray:
         return -garch_t_score(theta, system)
@@ -474,6 +504,7 @@ def fit_sure_garch_t(
         information=information,
         gradient_max=float(np.max(np.abs(result.gradient))),
         stop=result.message,
+        n_evals=result.n_evals,
         trace=tuple(-f for f in result.f_trace),
     )
 

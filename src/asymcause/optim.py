@@ -1,10 +1,11 @@
 """Quasi-Newton minimizer on a caller-supplied gradient, with a Newton finish.
 
-BFGS on the inverse Hessian with Armijo backtracking.  The caller supplies
-the objective and its exact gradient; `newton_finish` then polishes the BFGS
-point with Newton steps on the Hessian formed from central differences of
-that gradient.  The objective may return +inf outside its valid region;
-backtracking retreats from such points.
+BFGS on the inverse Hessian with Armijo backtracking, started from the
+inverse of the Hessian at x0.  The caller supplies the objective and its
+exact gradient; Hessians are central differences of that gradient, and
+`newton_finish` polishes the BFGS point with Newton steps on them.  The
+objective may return +inf outside its valid region; backtracking retreats
+from such points.
 
 `central_gradient` and `central_hessian` difference the objective alone.
 The minimizers do not use them; they are the oracles that tests check
@@ -101,17 +102,36 @@ def _armijo(f: Objective, x: np.ndarray, f_x: float, direction: np.ndarray,
     return None
 
 
+def _inverse_curvature(grad: Gradient, x: np.ndarray) -> np.ndarray:
+    """Inverse of gradient_jacobian(grad, x), made positive definite.
+
+    Each eigenvalue lam becomes max(|lam|, 1e-8 max |lam|) before inverting,
+    so directions of negative or vanishing curvature get a finite, large
+    step instead of an ascent or an infinite one.  Where the curvature is
+    zero in every direction (a linear stretch), the result is the identity.
+    """
+    eigenvalues, vectors = np.linalg.eigh(gradient_jacobian(grad, x))
+    magnitudes = np.abs(eigenvalues)
+    magnitudes = np.maximum(magnitudes, 1e-8 * np.max(magnitudes) or 1.0)
+    return (vectors / magnitudes) @ vectors.T
+
+
 def minimize_bfgs(
     fun: Objective, grad: Gradient, x0: np.ndarray, max_iter: int = 500
 ) -> OptimResult:
     """Minimize fun, whose gradient is grad, from x0.
 
-    Stops on small gradient or small relative change.  grad is called only
-    at accepted iterates, where fun is finite.  The line search is plain
-    backtracking on the Armijo condition, so the objective decreases
-    strictly at every accepted iterate.  Whatever stops the loop (message
-    says what), the result is converged only when max |gradient| at the
-    returned point is below GTOL.
+    The inverse Hessian starts as the inverse curvature at x0 (see
+    `_inverse_curvature`), not as the identity, so an ill-conditioned
+    problem needs no iterations to learn its scales.  Stops on small
+    gradient or small relative change.  grad is called at accepted
+    iterates, where fun is finite, and at the 2k probes of
+    `gradient_jacobian` around x0 (and around any iterate where the search
+    direction stops descending).  The line search is plain backtracking on
+    the Armijo condition, so the objective decreases strictly at every
+    accepted iterate.  Whatever stops the loop (message says what), the
+    result is converged only when max |gradient| at the returned point is
+    below GTOL.
     """
     x = np.asarray(x0, dtype=float).copy()
     k = x.size
@@ -122,11 +142,10 @@ def minimize_bfgs(
     if not np.isfinite(f_x):
         raise ValueError("objective is not finite at the starting point")
     g = np.asarray(grad(x), dtype=float)
-    h_inv = np.eye(k)
+    h_inv = _inverse_curvature(grad, x)
     trace = [f_x]
     message = "maximum iterations reached"
     iteration = 0
-    first_update = True
 
     while iteration < max_iter:
         if np.max(np.abs(g)) < GTOL:
@@ -135,11 +154,10 @@ def minimize_bfgs(
         iteration += 1
         direction = -h_inv @ g
         slope = float(direction @ g)
-        if slope >= 0.0:  # stale curvature; restart from steepest descent
-            h_inv = np.eye(k)
-            direction = -g
+        if slope >= 0.0:  # stale curvature; restart from the curvature here
+            h_inv = _inverse_curvature(grad, x)
+            direction = -h_inv @ g
             slope = float(direction @ g)
-            first_update = True
         accepted = _armijo(f, x, f_x, direction, slope)
         if accepted is None:
             message = "line search failed to make progress"
@@ -150,9 +168,6 @@ def minimize_bfgs(
         y = g_new - g
         sy = float(step @ y)
         if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(y):
-            if first_update:
-                h_inv *= sy / float(y @ y)
-                first_update = False
             rho = 1.0 / sy
             outer = np.outer(step, y)
             h_inv = (

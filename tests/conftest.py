@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from asymcause.decomposition import Series, decompose
 from asymcause.mgarch import GarchSpec, simulate_ccc_garch_t
-from asymcause.sure import LayoutEntry, SureSystem
+from asymcause.sure import LayoutEntry, SureSystem, build_design
 
 
 def intercept_system(data: np.ndarray) -> SureSystem:
@@ -88,6 +89,29 @@ def garch_pair_levels() -> np.ndarray:
     return 0.01 * np.arange(160)[:, None] + np.vstack(
         [np.zeros(2), np.cumsum(eps, axis=0)]
     )
+
+
+def garch_robustness_system(s: int) -> SureSystem:
+    """Signed-component system of GARCH robustness pair s.
+
+    alpha, beta and nu are drawn from rng (77, s); the innovations are
+    CCC-GARCH(1,1)-t draws of length 160 + 40 (s mod 4), replaced by 0.3
+    times Gaussian draws at correlation 0.5 when s mod 3 = 2.  The levels
+    start at zero with a 0.01 drift; P+ is 1 + s mod 2 and P- is 1.
+    """
+    rng = np.random.default_rng((77, s))
+    a = rng.uniform(0.05, 0.25)
+    b = rng.uniform(0.5, 0.9 - a)
+    nu = rng.uniform(4.0, 12.0)
+    spec = GarchSpec(omega=np.full(2, 0.02), alpha=np.full(2, a), beta=np.full(2, b),
+                     correlation=np.array([[1.0, 0.4], [0.4, 1.0]]), nu=nu)
+    draws = simulate_ccc_garch_t(spec, 160 + 40 * (s % 4), seed=s)
+    if s % 3 == 2:
+        draws = 0.3 * rng.multivariate_normal(
+            np.zeros(2), [[1.0, 0.5], [0.5, 1.0]], size=len(draws))
+    levels = np.vstack([np.zeros(2), np.cumsum(draws + 0.01, axis=0)])
+    components = [decompose(Series(levels[:, i]), "drift") for i in range(2)]
+    return build_design(*components, 1 + s % 2, 1, 1)
 
 
 @pytest.fixture

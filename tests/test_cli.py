@@ -232,7 +232,12 @@ class TestPipeline:
         assert estimation["converged"]
         assert estimation["gradient_max"] < GTOL
         assert estimation["stop"] == "gradient norm below tolerance"
-        assert parse_report(report.to_json()) == report
+        assert isinstance(estimation["n_evals"], int) and estimation["n_evals"] > 0
+        assert 1.0 <= estimation["information_condition"] < np.inf
+        parsed = parse_report(report.to_json())
+        assert parsed == report
+        for key in ("n_evals", "information_condition"):
+            assert parsed.diagnostics["estimation"][key] == estimation[key]
         # 158 observations for 39 parameters: the small-sample warning is reported
         assert report.diagnostics["warnings"] == [
             "effective sample 158 is below 10x the 39 free parameters; "

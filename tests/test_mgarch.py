@@ -20,11 +20,18 @@ from asymcause.mgarch import (
     garch_t_score,
     simulate_ccc_garch_t,
 )
-from asymcause.mgarch import _digamma, _initial_spec, constrain_params, unconstrain_params
+from asymcause.mgarch import (
+    _LOGIT_LIMIT,
+    _digamma,
+    _initial_spec,
+    _negative_loglik,
+    constrain_params,
+    unconstrain_params,
+)
 from asymcause.optim import GTOL, gradient_jacobian
 from asymcause.sure import build_design
 
-from conftest import garch_pair_levels, intercept_system
+from conftest import garch_pair_levels, garch_robustness_system, intercept_system
 
 
 def random_spec(rng, n):
@@ -121,6 +128,17 @@ class TestParameterTransforms:
             assert np.all(spec.alpha + spec.beta < 1.0)
             assert np.min(np.linalg.eigvalsh(spec.correlation)) > 0
             assert spec.nu > 2
+
+    def test_constrained_spec_equals_the_validated_spec(self, rng):
+        # constrain_params skips GarchSpec's checks; building the same spec
+        # through them must give the same values
+        for _ in range(20):
+            theta = rng.standard_normal(3 + 3 * 4 + 6 + 1) * 3.0
+            _, spec = constrain_params(theta, 3, 4)
+            checked = GarchSpec(omega=spec.omega, alpha=spec.alpha, beta=spec.beta,
+                                correlation=spec.correlation, nu=spec.nu)
+            for name in ("omega", "alpha", "beta", "correlation", "nu"):
+                np.testing.assert_array_equal(getattr(spec, name), getattr(checked, name))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="entries"):
@@ -317,10 +335,40 @@ class TestFit:
     def test_signed_pair_fit_reaches_a_stationary_point(self, garch_pair_fit):
         fit = garch_pair_fit
         assert fit.mean.converged
+        assert fit.mean.iterations <= 60  # 465 from an identity inverse Hessian
         assert fit.gradient_max < GTOL
         assert fit.stop == "gradient norm below tolerance"
         assert fit.loglik >= fit.trace[0]
         assert np.all(np.isfinite(np.diag(fit.mean.covariance)))
+
+    def test_objective_refuses_saturated_sigmoid_coordinates(self, garch_pair):
+        k_mean, n = garch_pair.n_coefficients, garch_pair.n_equations
+        start = fgls_fit(garch_pair)
+        theta0 = unconstrain_params(start.coefficients, _initial_spec(start.residuals))
+        assert np.isfinite(_negative_loglik(theta0, garch_pair))
+        beyond = _LOGIT_LIMIT + 0.5
+        # persistence, share and angle coordinates are guarded
+        for i in range(k_mean + n, theta0.size - 1):
+            for value in (beyond, -beyond):
+                theta = theta0.copy()
+                theta[i] = value
+                assert _negative_loglik(theta, garch_pair) == np.inf
+        # log omega and log(nu - 2) are not
+        for i in (k_mean, theta0.size - 1):
+            theta = theta0.copy()
+            theta[i] += beyond
+            assert np.isfinite(_negative_loglik(theta, garch_pair))
+
+    @pytest.mark.parametrize("pair", [0, 8])
+    def test_boundary_pairs_return_a_fit(self, pair):
+        # from the curvature start, these fits head for a saturated sigmoid,
+        # where the information loses rank or alpha + beta rounds to 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = fit_sure_garch_t(garch_robustness_system(pair))
+        assert np.all(np.isfinite(fit.information))
+        trace = fit.trace
+        assert all(later >= earlier for earlier, later in zip(trace, trace[1:]))
 
     def test_small_sample_warning(self, rng):
         data = rng.standard_normal((60, 2))

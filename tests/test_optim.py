@@ -92,6 +92,24 @@ class TestBfgs:
         assert result.iterations <= 3
         assert not result.converged
 
+    def test_curvature_start_solves_an_ill_conditioned_quadratic(self, rng):
+        # Hessian eigenvalues 1 .. 1e8 in a random rotation: started from the
+        # identity, BFGS needs over a hundred iterations to learn the scales
+        rotation, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        a = (rotation * np.logspace(0, 8, 10)) @ rotation.T
+        result = minimize_bfgs(quadratic(a, np.zeros(10)), lambda x: a @ x, np.ones(10))
+        assert result.converged
+        assert result.iterations <= 3
+
+    def test_start_on_a_linear_stretch(self):
+        # the Huber loss has zero curvature at x0, so the start is the identity
+        def huber(x):
+            return float(np.sum(np.where(np.abs(x) <= 1.0, 0.5 * x**2, np.abs(x) - 0.5)))
+
+        result = minimize_bfgs(huber, lambda x: np.clip(x, -1.0, 1.0), np.array([5.0, -7.0]))
+        assert result.converged
+        np.testing.assert_allclose(result.x, 0.0, atol=1e-5)
+
     def test_small_change_with_large_gradient_is_not_converged(self):
         # near f = 1e9 FTOL_REL stops on a step that gains 3e-5, far from x = 0
         result = bfgs(lambda x: 1e9 + 50.0 * x[0] ** 2, np.array([1e-3]))
