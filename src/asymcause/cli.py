@@ -265,6 +265,12 @@ def run_pipeline(config: AnalysisConfig) -> Report:
                      "gradient_max": garch_fit.gradient_max, "stop": garch_fit.stop,
                      "n_evals": garch_fit.n_evals,
                      "information_condition": garch_fit.information_condition}
+    if not estimate.converged:
+        stop = fit_extra.get("stop", f"GLS solve limit of {estimate.iterations} reached")
+        diagnostics.setdefault("warnings", []).append(
+            f"the {estimate.estimator} estimate did not converge ({stop}); "
+            "its standard errors and Wald tests are unreliable"
+        )
     diagnostics["estimation"] = {
         "estimator": estimate.estimator,
         "iterations": estimate.iterations,

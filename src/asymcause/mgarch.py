@@ -27,7 +27,7 @@ from .wald import chisq_sf
 
 _INTERIOR = 1e-12  # probabilities are clipped into the open unit interval
 _STIRLING_FROM = 1e3  # gamma-function gaps use series from nu / 2 = this on
-# The fit refuses sigmoid-mapped coordinates beyond this: sigmoid(30) = 1 - 9.4e-14
+# The fit refuses persistence and share logits beyond this: sigmoid(30) = 1 - 9.4e-14
 # keeps every transform's slope nonzero, while from ~36.7 on the sigmoid rounds to 1.
 _LOGIT_LIMIT = 30.0
 
@@ -58,6 +58,10 @@ class GarchSpec:
         n = omega.size
         if alpha.size != n or beta.size != n or corr.shape != (n, n):
             raise ValueError("parameter dimensions disagree")
+        for name, value in (("omega", omega), ("alpha", alpha), ("beta", beta),
+                            ("correlation", corr), ("nu", self.nu)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if np.any(omega <= 0):
             raise ValueError("omega entries must be positive")
         if np.any(alpha < 0) or np.any(alpha >= 1):
@@ -139,35 +143,12 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
 
-def _angles_to_cholesky(angles: np.ndarray, n: int) -> np.ndarray:
-    chol = np.zeros((n, n))
-    chol[0, 0] = 1.0
-    idx = 0
-    for i in range(1, n):
-        remaining = 1.0
-        for j in range(i):
-            theta = angles[idx]
-            idx += 1
-            chol[i, j] = math.cos(theta) * remaining
-            remaining *= math.sin(theta)
-        chol[i, i] = remaining
-    return chol
-
-
-def _correlation_to_angles(corr: np.ndarray) -> np.ndarray:
-    n = corr.shape[0]
-    chol = np.linalg.cholesky(corr)
-    angles = np.empty(n * (n - 1) // 2)
-    idx = 0
-    for i in range(1, n):
-        remaining = 1.0
-        for j in range(i):
-            cosine = np.clip(chol[i, j] / remaining, -1.0, 1.0)
-            theta = math.acos(cosine)
-            angles[idx] = theta
-            idx += 1
-            remaining *= math.sin(theta)
-    return angles
+def _unit_rows(lower: np.ndarray, n: int) -> np.ndarray:
+    """Cholesky factor of the correlation: the rows of the unit-lower-triangular
+    matrix with strictly-lower entries `lower`, each scaled to unit length."""
+    chol = np.eye(n)
+    chol[np.tri(n, k=-1, dtype=bool)] = lower
+    return chol / np.sqrt(np.sum(chol**2, axis=1))[:, None]
 
 
 def _blocks(theta: np.ndarray, k_mean: int, n: int) -> list[np.ndarray]:
@@ -185,16 +166,17 @@ def constrain_params(
     theta: np.ndarray, k_mean: int, n: int
 ) -> tuple[np.ndarray, GarchSpec]:
     """Map the unconstrained optimizer vector to (mean coefficients, GarchSpec)."""
-    mean, log_omega, persistence, share, angles, (log_nu,) = _blocks(theta, k_mean, n)
+    mean, log_omega, persistence, share, lower, (log_nu,) = _blocks(theta, k_mean, n)
     persistence, share = _sigmoid(persistence), _sigmoid(share)
     alpha = persistence * share
     beta = persistence * (1.0 - share)
-    chol = _angles_to_cholesky(math.pi * _sigmoid(angles), n)
+    chol = _unit_rows(lower, n)
     corr = chol @ chol.T
     np.fill_diagonal(corr, 1.0)
     nu = 2.0 + math.exp(log_nu)
-    # in the admissible region for every finite theta, up to the sigmoid
-    # rounding to 1 that the fit's _LOGIT_LIMIT keeps it away from
+    # in the admissible region for every finite theta, up to rounding: a sigmoid
+    # at 1, which the fit's _LOGIT_LIMIT keeps away, or correlation coordinates
+    # so large that the correlation is singular, where the likelihood fails
     return mean.copy(), GarchSpec._trusted(np.exp(log_omega), alpha, beta, corr, nu)
 
 
@@ -203,14 +185,15 @@ def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
     persistence = spec.alpha + spec.beta
     with np.errstate(divide="ignore", invalid="ignore"):
         share = np.where(persistence > 0, spec.alpha / np.maximum(persistence, _INTERIOR), 0.5)
-    angles = _correlation_to_angles(spec.correlation)
+    chol = np.linalg.cholesky(spec.correlation)
+    lower = (chol / np.diag(chol)[:, None])[np.tri(spec.n, k=-1, dtype=bool)]
     return np.concatenate(
         [
             np.asarray(mean, dtype=float),
             np.log(spec.omega),
             _logit(persistence),
             _logit(share),
-            _logit(angles / math.pi),
+            lower,
             [math.log(spec.nu - 2.0)],
         ]
     )
@@ -333,22 +316,6 @@ def _digamma_gap(nu: float, n: int) -> float:
             + a * (2.0 * x + a) / (12.0 * (x * (x + a)) ** 2))
 
 
-def _angles_gradient(angles: np.ndarray, n: int, chol_bar: np.ndarray) -> np.ndarray:
-    """Reverse pass of _angles_to_cholesky: d/d angles given d/d chol."""
-    grad = np.empty(angles.size)
-    idx = 0
-    for i in range(1, n):
-        row = angles[idx : idx + i]
-        remaining = np.concatenate([[1.0], np.cumprod(np.sin(row))])
-        remaining_bar = chol_bar[i, i]
-        for j in range(i - 1, -1, -1):
-            cos, sin = math.cos(row[j]), math.sin(row[j])
-            grad[idx + j] = remaining[j] * (remaining_bar * cos - chol_bar[i, j] * sin)
-            remaining_bar = chol_bar[i, j] * cos + remaining_bar * sin
-        idx += i
-    return grad
-
-
 def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     """Gradient of the log-likelihood with respect to the vector theta.
 
@@ -360,8 +327,8 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     """
     k_mean, n = system.n_coefficients, system.n_equations
     mean, spec = constrain_params(theta, k_mean, n)
-    _, _, persistence, share, angles, _ = _blocks(theta, k_mean, n)
-    persistence, share, angle_share = map(_sigmoid, (persistence, share, angles))
+    _, _, persistence, share, _, _ = _blocks(theta, k_mean, n)
+    persistence, share = _sigmoid(persistence), _sigmoid(share)
     resid = system.residuals(mean)
     fwd = _forward(resid, spec)
     t_eff = resid.shape[0]
@@ -390,22 +357,26 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
                 [x.T @ resid_bar[:, i] for i, x in enumerate(system.regressors)]
             )
             # dL/dR = (sum_t w_t u_t u_t' - T R^-1) / 2, chained through R = C C'
+            # and C's rows c_i = l_i / |l_i|, where 1 / |l_i| = c_ii
             corr_inv = np.linalg.inv(spec.correlation)
             corr_bar = 0.5 * ((weight[:, None] * u).T @ u - t_eff * corr_inv)
-            angle_bar = _angles_gradient(math.pi * angle_share, n, 2.0 * corr_bar @ fwd.chol)
+            chol = fwd.chol
+            chol_bar = 2.0 * corr_bar @ chol
+            chol_bar -= np.sum(chol_bar * chol, axis=1)[:, None] * chol
+            lower_bar = (chol_bar * np.diag(chol)[:, None])[np.tri(n, k=-1, dtype=bool)]
             nu_bar = 0.5 * np.sum(
                 _digamma_gap(nu, n) - n / (nu - 2.0) - np.log1p(fwd.quad / (nu - 2.0))
                 + weight * fwd.quad / (nu - 2.0)
             )
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             raise LikelihoodError(f"score evaluation failed: {exc}") from None
-    # Jacobians of the exp, sigmoid and pi * sigmoid transforms
+    # Jacobians of the exp and sigmoid transforms
     return np.concatenate([
         mean_bar,
         omega_bar * spec.omega,
         (alpha_bar * share + beta_bar * (1.0 - share)) * persistence * (1.0 - persistence),
         (alpha_bar - beta_bar) * persistence * share * (1.0 - share),
-        angle_bar * math.pi * angle_share * (1.0 - angle_share),
+        lower_bar,
         [nu_bar * (nu - 2.0)],
     ])
 
@@ -417,9 +388,9 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
 
 def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
     """The fit's objective; +inf where the likelihood fails, and where a
-    sigmoid-mapped coordinate (persistence, share, angle) passes _LOGIT_LIMIT."""
+    persistence or share logit passes _LOGIT_LIMIT."""
     k_mean, n = system.n_coefficients, system.n_equations
-    if np.max(np.abs(theta[k_mean + n : -1])) > _LOGIT_LIMIT:
+    if np.max(np.abs(theta[k_mean + n : k_mean + 3 * n])) > _LOGIT_LIMIT:
         return np.inf
     try:
         return -garch_t_loglik(*constrain_params(theta, k_mean, n), system)
@@ -455,9 +426,11 @@ def fit_sure_garch_t(
     parameters start from moment-based values.  BFGS on the analytic score,
     its inverse Hessian seeded from the observed information at the start,
     then Newton steps on the observed information: central differences of
-    the score.  The objective is +inf once a persistence, share or angle
-    coordinate passes +-_LOGIT_LIMIT, so the fit stops short of a boundary
-    (alpha or beta = 0, alpha + beta = 1) instead of saturating the map.
+    the score.  The objective is +inf once a persistence or share logit
+    passes +-_LOGIT_LIMIT, so the fit stops short of a boundary (alpha or
+    beta = 0, alpha + beta = 1) instead of saturating the map.  The
+    correlation is C C' with C's rows those of a unit-lower-triangular
+    matrix scaled to unit length, so its coordinates need no guard.
     The reported covariance of the mean coefficients is the corresponding
     block of the inverse information at the returned point.
     """

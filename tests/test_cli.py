@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcause import cli
+from asymcause import cli, optim, sure
 from asymcause.cli import (
     AnalysisConfig,
     Report,
@@ -51,6 +51,17 @@ def pair_of_csvs(tmp_path):
                 tmp_path / f"{name}.csv", s, transform=lambda v: np.exp(v / 10 + 4)
             )
         )
+    return paths
+
+
+@pytest.fixture
+def garch_csvs(tmp_path):
+    # heteroskedastic pair so the GARCH path is the realistic choice
+    levels = garch_pair_levels()
+    paths = []
+    for i, name in enumerate(["a", "b"]):
+        holder = type("Holder", (), {"values": levels[:, i]})()
+        paths.append(write_series_csv(tmp_path / f"{name}.csv", holder))
     return paths
 
 
@@ -210,15 +221,9 @@ class TestPipeline:
         second = render_report(run_pipeline(config), "json")
         assert first == second
 
-    def test_garch_branch_end_to_end(self, tmp_path):
-        # heteroskedastic pair so the GARCH path is the realistic choice
-        levels = garch_pair_levels()
-        paths = []
-        for i, name in enumerate(["a", "b"]):
-            holder = type("Holder", (), {"values": levels[:, i]})()
-            paths.append(write_series_csv(tmp_path / f"{name}.csv", holder))
+    def test_garch_branch_end_to_end(self, garch_csvs):
         config = AnalysisConfig(
-            inputs=tuple(paths),
+            inputs=tuple(garch_csvs),
             fixed_lags=(1, 1),
             estimator="garch_t",
         )
@@ -243,6 +248,31 @@ class TestPipeline:
             "effective sample 158 is below 10x the 39 free parameters; "
             "estimates may be unstable"
         ]
+
+    def test_unconverged_fgls_is_warned(self, pair_of_csvs, monkeypatch):
+        monkeypatch.setattr(sure, "FGLS_MAX_ITER", 1)
+        config = AnalysisConfig(inputs=tuple(pair_of_csvs), log_transform=True,
+                                fixed_lags=(1, 1), estimator="fgls")
+        report = run_pipeline(config)
+        assert not report.diagnostics["estimation"]["converged"]
+        warning = ("the fgls estimate did not converge (GLS solve limit of 1 "
+                   "reached); its standard errors and Wald tests are unreliable")
+        assert report.diagnostics["warnings"] == [warning]
+        assert f"  Warning: {warning}" in render_report(report, "text").splitlines()
+
+    def test_unconverged_garch_fit_is_warned(self, garch_csvs, monkeypatch):
+        monkeypatch.setattr(optim, "NEWTON_STEPS", 0)
+        config = AnalysisConfig(inputs=tuple(garch_csvs), fixed_lags=(1, 1),
+                                estimator="garch_t")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_pipeline(config)
+        estimation = report.diagnostics["estimation"]
+        assert not estimation["converged"]
+        assert estimation["stop"] == "Newton step limit reached"
+        assert report.diagnostics["warnings"][-1] == (
+            "the garch_t estimate did not converge (Newton step limit reached); "
+            "its standard errors and Wald tests are unreliable")
 
 
 JSON_VALUES = st.recursive(

@@ -1,12 +1,13 @@
 """GARCH-t likelihood, parameter transforms, fitting, simulation, ARCH LM."""
 
+import dataclasses
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcause import fgls_fit, optim
@@ -106,6 +107,13 @@ class TestGarchSpecValidation:
             GarchSpec(**{**good, "nu": 2.0})
         with pytest.raises(ValueError):
             GarchSpec(**{**good, "correlation": np.array([[1.0, 1.2], [1.2, 1.0]])})
+        nan_corr = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        for name, value in [("omega", np.array([np.nan, 0.1])),
+                            ("alpha", np.array([0.1, np.nan])),
+                            ("beta", np.array([np.nan, 0.8])),
+                            ("correlation", nan_corr), ("nu", np.inf), ("nu", np.nan)]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                GarchSpec(**{**good, name: value})
 
 
 class TestParameterTransforms:
@@ -120,12 +128,15 @@ class TestParameterTransforms:
             np.testing.assert_allclose(theta2, theta, atol=1e-10)
 
     def test_constrained_points_always_valid(self, rng):
-        # any unconstrained vector must map into the admissible region
+        # any unconstrained vector must map into the admissible region; the
+        # correlation coordinate is unbounded, so it is drawn up to +-1e3
         for _ in range(50):
             theta = rng.standard_normal(3 + 3 * 2 + 1 + 1) * 3.0
+            theta[-2] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 3.0)
             _, spec = constrain_params(theta, 3, 2)
             assert np.all(spec.omega > 0)
             assert np.all(spec.alpha + spec.beta < 1.0)
+            assert np.all(np.diag(spec.correlation) == 1.0)
             assert np.min(np.linalg.eigvalsh(spec.correlation)) > 0
             assert spec.nu > 2
 
@@ -205,8 +216,9 @@ class TestLoglik:
 class TestScore:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), signed_pair=st.booleans(),
-           spread=st.floats(0.0, 1.0))
-    def test_matches_central_differences(self, seed, signed_pair, spread):
+           spread=st.floats(0.0, 1.0), rho=st.none() | st.floats(0.9, 0.99))
+    @example(seed=3, signed_pair=True, spread=0.0, rho=0.95)
+    def test_matches_central_differences(self, seed, signed_pair, spread, rho):
         rng = np.random.default_rng(seed)
         draws = simulate_ccc_garch_t(random_spec(rng, 2), 120, seed=seed)
         if signed_pair:
@@ -215,7 +227,13 @@ class TestScore:
         else:
             system = intercept_system(draws)
         k_mean, n = system.n_coefficients, system.n_equations
-        theta = unconstrain_params(fgls_fit(system).coefficients, random_spec(rng, n))
+        spec = random_spec(rng, n)
+        if rho is not None:
+            # every |correlation| = rho: Cholesky rows far from the identity's
+            signs = rng.choice([-1.0, 1.0], n)
+            strong = rho * np.outer(signs, signs) + (1.0 - rho) * np.eye(n)
+            spec = dataclasses.replace(spec, correlation=strong)
+        theta = unconstrain_params(fgls_fit(system).coefficients, spec)
         theta += spread * rng.standard_normal(theta.size)
 
         def loglik(t):
@@ -347,13 +365,19 @@ class TestFit:
         theta0 = unconstrain_params(start.coefficients, _initial_spec(start.residuals))
         assert np.isfinite(_negative_loglik(theta0, garch_pair))
         beyond = _LOGIT_LIMIT + 0.5
-        # persistence, share and angle coordinates are guarded
-        for i in range(k_mean + n, theta0.size - 1):
+        # persistence and share logits are guarded
+        for i in range(k_mean + n, k_mean + 3 * n):
             for value in (beyond, -beyond):
                 theta = theta0.copy()
                 theta[i] = value
                 assert _negative_loglik(theta, garch_pair) == np.inf
-        # log omega and log(nu - 2) are not
+        # the correlation coordinates cannot saturate and are not guarded
+        for i in range(k_mean + 3 * n, theta0.size - 1):
+            for value in (beyond, -beyond):
+                theta = theta0.copy()
+                theta[i] = value
+                assert np.isfinite(_negative_loglik(theta, garch_pair))
+        # nor are log omega and log(nu - 2)
         for i in (k_mean, theta0.size - 1):
             theta = theta0.copy()
             theta[i] += beyond
