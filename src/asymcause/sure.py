@@ -212,40 +212,6 @@ def build_design(
     )
 
 
-def _block_criterion_values(
-    block: np.ndarray, p_max: int, criterion: str
-) -> np.ndarray:
-    """Information-criterion value of a VAR(p) on one sign block, p=1..p_max.
-
-    All candidates are fitted on the sample aligned at p_max, as the first
-    1 + m*p columns of one design, so the values are comparable; the criterion
-    is the log-determinant of the residual covariance plus a _PENALTIES term.
-    """
-    n_obs, m = block.shape
-    t_c = n_obs - p_max
-    if t_c <= 1 + m * p_max:
-        raise InsufficientDataError(
-            f"p_max={p_max} leaves {t_c} observations for up to "
-            f"{1 + m * p_max} parameters per equation"
-        )
-    y = block[p_max:]
-    design = _lagged_design(block, p_max, p_max)
-    penalty = _PENALTIES[criterion](t_c)
-    values = np.empty(p_max)
-    for p in range(1, p_max + 1):
-        x = design[:, : 1 + m * p]
-        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-        resid = y - x @ coef
-        sign, logdet = np.linalg.slogdet(resid.T @ resid / t_c)
-        if sign <= 0:
-            raise SingularityError(
-                "degenerate residual covariance in lag selection "
-                "(a component may have zero stochastic variation)"
-            )
-        values[p - 1] = logdet + penalty * (m * (1 + m * p)) / t_c
-    return values
-
-
 def lag_order_table(
     first: SignedComponents,
     second: SignedComponents,
@@ -254,18 +220,53 @@ def lag_order_table(
 ) -> dict:
     """Criterion values per candidate order for both sign blocks.
 
-    "selected" holds the (P+, P-) pair minimizing each block's criterion.
+    Candidate VAR(p), p=1..p_max, is the first k = 1 + m*p columns of one
+    design on the sample aligned at p_max.  With Q the reduced QR factor of
+    that design, z = Q'y and e the p_max residual, its residual cross-product
+    is e'e + sum_{j>=k} z_j z_j'.  A value is the log-determinant of the
+    residual covariance plus a _PENALTIES term; "selected" holds the (P+, P-)
+    pair minimizing each block's criterion.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    pos = _block_criterion_values(
-        np.column_stack([first.positive, second.positive]), p_max, criterion
-    )
-    neg = _block_criterion_values(
-        np.column_stack([first.negative, second.negative]), p_max, criterion
-    )
+    names = (first.name or "var1", second.name or "var2")
+    blocks = np.stack([np.column_stack([first.positive, second.positive]),
+                       np.column_stack([first.negative, second.negative])])
+    n_obs, m = blocks.shape[1:]
+    t_c, k_max = n_obs - p_max, 1 + m * p_max
+    if t_c < k_max + m:
+        raise InsufficientDataError(
+            f"p_max={p_max} leaves {t_c} observations; lag selection needs "
+            f"{k_max} parameters per equation plus {m} residual degrees of freedom"
+        )
+    y = blocks[:, p_max:]
+    q, r = np.linalg.qr(np.stack([_lagged_design(b, p_max, p_max) for b in blocks]))
+    # matrix_rank's default tolerance, applied to R's diagonal
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    tol = diag.max(axis=1, keepdims=True) * max(t_c, k_max) * np.finfo(float).eps
+    deficient = np.argwhere(diag < tol)
+    if deficient.size:
+        block, col = deficient[0]
+        raise SingularityError(
+            f"lag selection: the {('positive', 'negative')[block]} design is "
+            f"rank-deficient at lag {(col + m - 1) // m} of {names[(col - 1) % m]!r} "
+            "(a component may have zero stochastic variation)"
+        )
+    z = q.swapaxes(1, 2) @ y
+    e = y - q @ z
+    # entry k of the reverse cumulative sum: e'e + sum_{j>=k} z_j z_j'
+    terms = [z[..., None] * z[..., None, :], (e.swapaxes(1, 2) @ e)[:, None]]
+    cross = np.cumsum(np.concatenate(terms, axis=1)[:, ::-1], axis=1)[:, ::-1]
+    sign, logdet = np.linalg.slogdet(cross[:, 1 + m : k_max + 1 : m] / t_c)
+    if np.any(sign <= 0):
+        raise SingularityError(
+            "degenerate residual covariance in lag selection "
+            "(a component may have zero stochastic variation)"
+        )
+    penalty = _PENALTIES[criterion](t_c) * m * (1 + m * np.arange(1, p_max + 1)) / t_c
+    pos, neg = logdet + penalty
     return {
         "criterion": criterion,
         "positive": pos,

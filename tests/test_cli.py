@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -467,6 +468,21 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("lags, message", [
+        ([], "lag selection: the negative design is rank-deficient at lag 1 of 'up' "),
+        (["--fixed-lags", "1", "1"], r"equation Z-1 \(up\): design matrix"),
+    ], ids=["selected-lags", "fixed-lags"])
+    def test_zero_variation_component_exits_2(self, pair_of_csvs, tmp_path, capsys,
+                                              lags, message):
+        # without a drift a strictly increasing series has a constant negative
+        # component, collinear with the intercept
+        steps = 0.01 + np.abs(np.random.default_rng(5).standard_normal(302))
+        holder = type("Holder", (), {"values": 100.0 + np.r_[0.0, steps.cumsum()]})()
+        up = write_series_csv(tmp_path / "up.csv", holder)
+        args = ["run", "--input", up, pair_of_csvs[1], "--deterministic", "none"]
+        assert main([*args, *lags]) == 2
+        assert re.fullmatch(f"error: {message}.*\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("args, message", [
         (["run", "--input", "PAIR", "--fixed-lags", "1", "1", "--estimator", "fgls",

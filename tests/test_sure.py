@@ -1,5 +1,7 @@
 """Design builder, lag selection, OLS and iterated FGLS."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,20 @@ from conftest import exog_two_equation_system, identical_regressor_system
 def components_from_walks(seed, t_obs=300):
     series = simulate_dgp(DgpConfig(drift=(0.2, 0.1), t_obs=t_obs, seed=seed))
     return [decompose(s, "drift") for s in series]
+
+
+def first_rows(comps, n_obs):
+    """The pair of decomposed variables cut to its first n_obs observations."""
+    return [SignedComponents(c.positive[:n_obs], c.negative[:n_obs], c.name)
+            for c in comps]
+
+
+def increasing_components(t_obs=120):
+    """A strictly increasing series decomposed with kind=none: its negative
+    component is deterministic, so it is collinear with the intercept."""
+    values = np.linspace(0.0, 30.0, t_obs) + 0.01 + np.abs(
+        np.random.default_rng(3).standard_normal(t_obs)).cumsum()
+    return decompose(Series(values=values, name="up"), "none")
 
 
 def var_components(data: np.ndarray, name: str) -> SignedComponents:
@@ -148,6 +164,28 @@ class TestSelectLags:
         with pytest.raises(InsufficientDataError):
             lag_order_table(*comps, 25, "sbc")
 
+    @pytest.mark.parametrize("p_max", [1, 8, 26])
+    def test_smallest_sample_leaves_m_residual_degrees_of_freedom(self, p_max):
+        # the (m x m) residual covariance of the VAR(p_max) is nonsingular only
+        # when t_c = T - p_max rows exceed its 1 + m*p_max columns by m = 2 or more
+        comps = components_from_walks(seed=13)
+        smallest = 3 * p_max + 3
+        table = lag_order_table(*first_rows(comps, smallest), p_max, "sbc")
+        assert np.all(np.isfinite(np.concatenate([table["positive"], table["negative"]])))
+        with pytest.raises(InsufficientDataError, match=(
+                f"leaves {2 * p_max + 2} observations; lag selection needs "
+                f"{1 + 2 * p_max} parameters per equation plus 2 residual")):
+            lag_order_table(*first_rows(comps, smallest - 1), p_max, "sbc")
+
+    def test_rank_deficient_design_names_the_series(self):
+        # in either position the error names the series with the constant component
+        up = increasing_components()
+        other = components_from_walks(seed=12, t_obs=120)[0]
+        message = r"^lag selection: the negative design is rank-deficient at lag 1 of 'up'"
+        for pair in ((up, other), (other, up)):
+            with pytest.raises(SingularityError, match=message):
+                lag_order_table(*pair, 8, "sbc")
+
     def test_unknown_criterion(self):
         comps = components_from_walks(seed=10)
         with pytest.raises(ValueError, match="criterion"):
@@ -162,10 +200,11 @@ class TestSelectLags:
     @pytest.mark.parametrize("criterion", ["aic", "sbc", "hq"])
     def test_criterion_values_match_textbook_var_fits(self, criterion):
         # oracle: each VAR(p) fitted on its own on the p_max-aligned sample,
-        # log det of the residual covariance plus m(1+mp)/T_c times the penalty
-        for seed in (31, 32, 33):
-            comps = components_from_walks(seed=seed, t_obs=120)
-            for p_max in range(1, 5):
+        # log det of the residual covariance plus m(1+mp)/T_c times the penalty;
+        # on 120 observations and on the smallest admissible T = 3 p_max + 3
+        for seed, p_max in itertools.product((31, 32, 33), (1, 2, 3, 4, 8)):
+            walks = components_from_walks(seed=seed, t_obs=120)
+            for comps in (walks, first_rows(walks, 3 * p_max + 3)):
                 table = lag_order_table(*comps, p_max, criterion)
                 for sign in ("positive", "negative"):
                     block = np.column_stack([getattr(c, sign) for c in comps])
@@ -252,12 +291,7 @@ class TestOls:
         assert np.all(np.abs(fit.coefficients - truth) <= 3.0 * std_errors)
 
     def test_rank_deficiency_names_equation(self):
-        # a strictly increasing series with kind=none has a deterministic
-        # negative component, which is collinear with the intercept
-        values = np.linspace(0.0, 30.0, 120) + 0.01
-        up = decompose(Series(values=values + np.abs(
-            np.random.default_rng(3).standard_normal(120)).cumsum(), name="up"),
-            "none")
+        up = increasing_components()
         other = components_from_walks(seed=12, t_obs=120)[0]
         with pytest.raises(SingularityError, match=r"^equation Z-1 \(up\): "):
             ols_fit(build_design(up, other, 1, 1, extra_lags=1))
