@@ -263,7 +263,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         estimate = garch_fit.mean
         fit_extra = {"loglik": float(garch_fit.loglik), "nu": float(garch_fit.garch.nu),
                      "gradient_max": garch_fit.gradient_max, "stop": garch_fit.stop,
-                     "n_evals": garch_fit.n_evals,
+                     "n_evals": garch_fit.n_evals, "n_gradients": garch_fit.n_gradients,
                      "information_condition": garch_fit.information_condition}
     if not estimate.converged:
         stop = fit_extra.get("stop", f"GLS solve limit of {estimate.iterations} reached")

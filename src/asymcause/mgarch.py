@@ -104,6 +104,7 @@ class GarchFit:
     gradient_max: float  # max |score| at the returned point
     stop: str  # the rule that ended the fit
     n_evals: int  # log-likelihood evaluations by BFGS and the Newton finish
+    n_gradients: int  # score rows they evaluated, each Jacobian's 2k probes included
     trace: tuple[float, ...] = ()  # log-likelihood at accepted iterates
 
     def __post_init__(self):
@@ -130,12 +131,8 @@ class ArchLmResult(NamedTuple):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))  # exp(-x) for x >= 0 and exp(x) below: never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -144,40 +141,62 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(lower: np.ndarray, n: int) -> np.ndarray:
-    """Cholesky factor of the correlation: the rows of the unit-lower-triangular
-    matrix with strictly-lower entries `lower`, each scaled to unit length."""
-    chol = np.eye(n)
-    chol[np.tri(n, k=-1, dtype=bool)] = lower
-    return chol / np.sqrt(np.sum(chol**2, axis=1))[:, None]
+    """Cholesky factors of the correlations, one per row of `lower`: the rows
+    of the unit-lower-triangular matrix with strictly-lower entries `lower`,
+    each scaled to unit length."""
+    chol = np.zeros((len(lower), n, n))
+    chol[:, np.tri(n, k=-1, dtype=bool)] = lower
+    chol += np.eye(n)
+    return chol / np.sqrt(np.sum(chol**2, axis=2))[:, :, None]
 
 
 def _blocks(theta: np.ndarray, k_mean: int, n: int) -> list[np.ndarray]:
-    """theta cut into the blocks that unconstrain_params concatenates."""
+    """theta cut, along its last axis, into the blocks that unconstrain_params
+    concatenates."""
     theta = np.asarray(theta, dtype=float)
     sizes = (k_mean, n, n, n, n * (n - 1) // 2, 1)
-    if theta.size != sum(sizes):
+    if theta.shape[-1] != sum(sizes):
         raise ValueError(
-            f"parameter vector has {theta.size} entries, need {sum(sizes)}"
+            f"parameter vector has {theta.shape[-1]} entries, need {sum(sizes)}"
         )
-    return np.split(theta, np.cumsum(sizes)[:-1])
+    bounds = np.cumsum((0, *sizes)).tolist()
+    return [theta[..., a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class _Params(NamedTuple):
+    """GarchSpec's parameters for a stack of P parameter vectors."""
+
+    omega: np.ndarray  # (P, n)
+    alpha: np.ndarray  # (P, n)
+    beta: np.ndarray  # (P, n)
+    correlation: np.ndarray  # (P, n, n)
+    nu: np.ndarray  # (P,)
+
+
+def _constrained(theta: np.ndarray, k_mean: int, n: int):
+    """constrain_params on each row of a (P, k) stack: the (P, k_mean) mean
+    block, the variance parameters, and the sigmoid persistence and share."""
+    mean, log_omega, persistence, share, lower, log_nu = _blocks(theta, k_mean, n)
+    persistence, share = _sigmoid(persistence), _sigmoid(share)
+    chol = _unit_rows(lower, n)
+    corr = chol @ chol.swapaxes(1, 2)
+    corr[:, range(n), range(n)] = 1.0
+    with np.errstate(over="raise"):
+        nu = 2.0 + np.exp(log_nu[:, 0])
+    params = _Params(np.exp(log_omega), persistence * share,
+                     persistence * (1.0 - share), corr, nu)
+    return mean, params, persistence, share
 
 
 def constrain_params(
     theta: np.ndarray, k_mean: int, n: int
 ) -> tuple[np.ndarray, GarchSpec]:
     """Map the unconstrained optimizer vector to (mean coefficients, GarchSpec)."""
-    mean, log_omega, persistence, share, lower, (log_nu,) = _blocks(theta, k_mean, n)
-    persistence, share = _sigmoid(persistence), _sigmoid(share)
-    alpha = persistence * share
-    beta = persistence * (1.0 - share)
-    chol = _unit_rows(lower, n)
-    corr = chol @ chol.T
-    np.fill_diagonal(corr, 1.0)
-    nu = 2.0 + math.exp(log_nu)
+    mean, params, _, _ = _constrained(np.asarray(theta, dtype=float)[None], k_mean, n)
     # in the admissible region for every finite theta, up to rounding: a sigmoid
     # at 1, which the fit's _LOGIT_LIMIT keeps away, or correlation coordinates
     # so large that the correlation is singular, where the likelihood fails
-    return mean.copy(), GarchSpec._trusted(np.exp(log_omega), alpha, beta, corr, nu)
+    return mean[0], GarchSpec._trusted(*(field[0] for field in params))
 
 
 def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
@@ -204,67 +223,90 @@ def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _conditional_variances(resid: np.ndarray, spec: GarchSpec) -> np.ndarray:
-    """GARCH(1,1) recursion per equation, on Python floats.
+def _linear_recursion(rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """rows[t] = rows[t] + beta * rows[t-1] for t = 1, 2, ..., in place.
 
-    Presample squared shock and variance are both set to the sample mean
-    square of each equation's residuals, so h_0 = omega + (alpha+beta)*s2
-    and the recursion needs no presample observations.
+    One row at a time, in this order, so each entry is rounded exactly as a
+    scalar loop over the same recursion rounds it.
     """
-    t_eff, n = resid.shape
-    sq = resid**2
-    s2 = np.mean(sq, axis=0)
-    h = np.empty((t_eff, n))
-    for i in range(n):
-        omega, alpha, beta = float(spec.omega[i]), float(spec.alpha[i]), float(spec.beta[i])
-        h_t = omega + (alpha + beta) * float(s2[i])
-        path = [h_t]
-        for sq_t in sq[:-1, i].tolist():
-            h_t = omega + alpha * sq_t + beta * h_t
-            path.append(h_t)
-        h[:, i] = path
-    return h
+    step = np.empty_like(rows[0])
+    multiply, add = np.multiply, np.add
+    previous = rows[0]
+    for row in rows[1:]:
+        multiply(beta, previous, step)  # positional out: ~25% less call overhead
+        add(row, step, row)
+        previous = row
+    return rows
+
+
+def _nu_terms(nu: np.ndarray, n: int) -> np.ndarray:
+    """Per row of nu: the t density's log-constant, n log((nu - 2) / nu) and
+    psi((nu + n) / 2) - psi(nu / 2), as a (3, P) array.
+
+    Scalars of nu alone, on Python floats: math.lgamma has no numpy
+    counterpart, and np.log may round a value differently from math.log,
+    which the one-row log-likelihood must match bit for bit.
+    """
+    return np.array([
+        (_lgamma_gap(v, n) - 0.5 * n * math.log(v * math.pi),
+         n * math.log((v - 2.0) / v), _digamma_gap(v, n))
+        for v in nu.tolist()
+    ]).T
 
 
 class _Forward(NamedTuple):
-    """One likelihood evaluation's intermediates, shared by value and score."""
+    """One likelihood evaluation of P rows, with what the score reuses."""
 
-    value: float
-    h: np.ndarray  # (T, n) conditional variances
-    std_resid: np.ndarray  # (T, n) z = e / sqrt(h)
-    chol: np.ndarray  # lower Cholesky factor of the correlation
-    half: np.ndarray  # (n, T) chol^-1 z'
-    quad: np.ndarray  # (T,) q = z' correlation^-1 z
+    value: np.ndarray  # (P,) log-likelihoods
+    sq: np.ndarray  # (T, P, n) squared residuals
+    s2: np.ndarray  # (P, n) their means, the presample variance and shock
+    h: np.ndarray  # (T, P, n) conditional variances
+    std_resid: np.ndarray  # (T, P, n) z = e / sqrt(h)
+    chol: np.ndarray  # (P, n, n) lower Cholesky factors of the correlations
+    half: np.ndarray  # (P, n, T) chol^-1 z'
+    quad: np.ndarray  # (P, T) q = z' correlation^-1 z
+    digamma_gap: np.ndarray  # (P,)
 
 
-def _forward(resid: np.ndarray, spec: GarchSpec) -> _Forward:
-    """garch_t_loglik at (T, n) residuals, with the intermediates."""
-    n = spec.n
+def _forward(resid: np.ndarray, params: _Params) -> _Forward:
+    """garch_t_loglik of each row at its (T, P, n) residuals.
+
+    Presample squared shock and variance are both set to the sample mean
+    square of each equation's residuals, so h_0 = omega + (alpha+beta)*s2
+    and the GARCH(1,1) recursion needs no presample observations.
+    """
+    n = resid.shape[2]
+    nu = params.nu
+    const, n_log_scale, digamma_gap = _nu_terms(nu, n)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            h = _conditional_variances(resid, spec)
+            sq = resid**2
+            s2 = np.mean(sq, axis=0)
+            h = np.empty_like(sq)
+            h[0] = params.omega + (params.alpha + params.beta) * s2
+            np.multiply(params.alpha, sq[:-1], out=h[1:])
+            h[1:] += params.omega
+            _linear_recursion(h, params.beta)
             if np.any(~np.isfinite(h)) or np.any(h <= 0):
                 raise LikelihoodError("conditional variances are not positive finite")
             std_resid = resid / np.sqrt(h)
-            chol = np.linalg.cholesky(spec.correlation)
-            half = np.linalg.solve(chol, std_resid.T)
-            quad = np.sum(half**2, axis=0)
-            logdet_corr = 2.0 * np.sum(np.log(np.diag(chol)))
-            logdet_h = logdet_corr + np.sum(np.log(h), axis=1)
-            nu = spec.nu
+            chol = np.linalg.cholesky(params.correlation)
+            half = np.linalg.solve(chol, std_resid.transpose(1, 2, 0))
+            quad = np.sum(half**2, axis=1)
+            logdet_corr = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+            logdet_h = logdet_corr[:, None] + np.sum(np.log(h), axis=2).T
             scale = (nu - 2.0) / nu  # scale matrix S_t = scale * H_t
-            const = _lgamma_gap(nu, n) - 0.5 * n * math.log(nu * math.pi)
             terms = (
-                const
-                - 0.5 * (logdet_h + n * math.log(scale))
-                - 0.5 * (nu + n) * np.log1p(quad / scale / nu)
+                const[:, None]
+                - 0.5 * (logdet_h + n_log_scale[:, None])
+                - (0.5 * (nu + n))[:, None] * np.log1p(quad / scale[:, None] / nu[:, None])
             )
-            value = float(np.sum(terms))
+            value = np.sum(terms, axis=1)
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             raise LikelihoodError(f"log-likelihood evaluation failed: {exc}") from None
-    if not np.isfinite(value):
+    if not np.all(np.isfinite(value)):
         raise LikelihoodError("log-likelihood is not finite")
-    return _Forward(value, h, std_resid, chol, half, quad)
+    return _Forward(value, sq, s2, h, std_resid, chol, half, quad, digamma_gap)
 
 
 def garch_t_loglik(
@@ -279,7 +321,9 @@ def garch_t_loglik(
     if system.n_equations != spec.n:
         raise ValueError("GarchSpec dimension does not match the system")
     resid = system.residuals(np.asarray(coefficients, dtype=float))
-    return _forward(resid, spec).value
+    params = _Params(spec.omega[None], spec.alpha[None], spec.beta[None],
+                     spec.correlation[None], np.array([spec.nu]))
+    return float(_forward(resid[:, None], params).value[0])
 
 
 def _digamma(x: float) -> float:
@@ -319,66 +363,86 @@ def _digamma_gap(nu: float, n: int) -> float:
 def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     """Gradient of the log-likelihood with respect to the vector theta.
 
-    theta is the unconstrained vector of constrain_params, mean block first.
-    One forward pass, then the adjoint of the variance recursion,
-    lambda_t = dl_t/dh_t + beta * lambda_{t+1}, which also reaches the mean
-    coefficients through the presample variance (Bollerslev 1990;
-    Fiorentini, Sentana & Calzolari 2003).
+    theta is the unconstrained vector of constrain_params, mean block first,
+    or a (P, k) stack of such vectors; the result has theta's shape, one
+    gradient per row.  One forward pass, then the adjoint of the variance
+    recursion, lambda_t = dl_t/dh_t + beta * lambda_{t+1}, which also reaches
+    the mean coefficients through the presample variance (Bollerslev 1990;
+    Fiorentini, Sentana & Calzolari 2003).  Every step runs on all rows at
+    once; the recursions loop over the T observations only.
     """
+    stack = np.asarray(theta, dtype=float)
     k_mean, n = system.n_coefficients, system.n_equations
-    mean, spec = constrain_params(theta, k_mean, n)
-    _, _, persistence, share, _, _ = _blocks(theta, k_mean, n)
-    persistence, share = _sigmoid(persistence), _sigmoid(share)
-    resid = system.residuals(mean)
-    fwd = _forward(resid, spec)
-    t_eff = resid.shape[0]
-    nu, h, z = spec.nu, fwd.h, fwd.std_resid
+    mean, params, persistence, share = _constrained(np.atleast_2d(stack), k_mean, n)
+    t_eff, p = system.effective_sample, len(mean)
+    # each coefficient's column of the stacked design feeds its own equation;
+    # one (T, k) @ (k, n) product per row, so a row's score is the same in any stack
+    design = np.hstack(system.regressors)
+    onehot = system.equation_index[:, None] == np.arange(n)
+    fitted = design @ (mean[:, :, None] * onehot)
+    resid = np.empty((t_eff, p, n))
+    np.subtract(np.column_stack(system.regressands)[:, None, :],
+                fitted.transpose(1, 0, 2), out=resid)
+    del fitted
+    _, sq, s2, h, z, chol, half, quad, digamma_gap = _forward(resid, params)
+    nu = params.nu[:, None]
+    # (T, P, n) arrays stay C-ordered, so each recursion step is one contiguous
+    # row, and each is dropped once spent: a Jacobian's stack has P = 2k rows
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            u = np.linalg.solve(fwd.chol.T, fwd.half).T  # (T, n) correlation^-1 z
-            weight = (nu + n) / (nu - 2.0 + fwd.quad)  # -2 dl_t/dq_t
-            resid_bar = -weight[:, None] * u / np.sqrt(h)  # dl/de through z only
-            h_bar = (weight[:, None] * u * z - 1.0) / (2.0 * h)  # dl/dh, h_t alone
-            lam = np.empty((t_eff, n))  # dL/dh_t through every later h
-            for i in range(n):
-                beta, lam_t, path = float(spec.beta[i]), 0.0, []
-                for g in h_bar[::-1, i].tolist():
-                    lam_t = g + beta * lam_t
-                    path.append(lam_t)
-                lam[::-1, i] = path
-            sq = resid**2
-            s2 = np.mean(sq, axis=0)  # h_0 = omega + (alpha + beta) * s2
-            omega_bar = lam.sum(axis=0)
-            alpha_bar = np.sum(lam[1:] * sq[:-1], axis=0) + lam[0] * s2
-            beta_bar = np.sum(lam[1:] * h[:-1], axis=0) + lam[0] * s2
-            resid_bar[:-1] += 2.0 * spec.alpha * lam[1:] * resid[:-1]
-            resid_bar += 2.0 * (spec.alpha + spec.beta) * lam[0] / t_eff * resid
-            mean_bar = -np.concatenate(
-                [x.T @ resid_bar[:, i] for i, x in enumerate(system.regressors)]
-            )
+            weight = (nu + n) / (nu - 2.0 + quad)  # -2 dl_t/dq_t
+            u = np.linalg.solve(chol.swapaxes(1, 2), half)  # correlation^-1 z
+            del half
+            u = np.ascontiguousarray(u.transpose(2, 0, 1))
+            weighted = np.ascontiguousarray(weight.T)[:, :, None] * u
             # dL/dR = (sum_t w_t u_t u_t' - T R^-1) / 2, chained through R = C C'
             # and C's rows c_i = l_i / |l_i|, where 1 / |l_i| = c_ii
-            corr_inv = np.linalg.inv(spec.correlation)
-            corr_bar = 0.5 * ((weight[:, None] * u).T @ u - t_eff * corr_inv)
-            chol = fwd.chol
+            corr_bar = 0.5 * (weighted.transpose(1, 2, 0) @ u.transpose(1, 0, 2)
+                              - t_eff * np.linalg.inv(params.correlation))
+            del u
+            lam = weighted * z  # dl/dh_t for h_t alone, then dL/dh_t through every later h
+            del z
+            lam -= 1.0
+            lam /= 2.0 * h
+            lam = _linear_recursion(lam[::-1], params.beta)[::-1]
+            resid_bar = weighted  # dl/de through z only
+            resid_bar /= -np.sqrt(h)
+            omega_bar = lam.sum(axis=0)
+            alpha_bar = np.sum(lam[1:] * sq[:-1], axis=0) + lam[0] * s2
+            del sq
+            beta_bar = np.sum(lam[1:] * h[:-1], axis=0) + lam[0] * s2
+            del h
+            # the recursion's alpha e_t^2 and the presample variance's mean square
+            lagged = lam[1:] * resid[:-1]
+            lagged *= 2.0 * params.alpha
+            resid_bar[:-1] += lagged
+            del lagged
+            resid *= 2.0 * (params.alpha + params.beta) * lam[0] / t_eff
+            resid_bar += resid
+            del resid, lam
+            # each coefficient against its own equation's column of resid_bar
+            mean_bar = design.T @ resid_bar.transpose(1, 0, 2)
+            mean_bar = -mean_bar[:, np.arange(k_mean), system.equation_index]
             chol_bar = 2.0 * corr_bar @ chol
-            chol_bar -= np.sum(chol_bar * chol, axis=1)[:, None] * chol
-            lower_bar = (chol_bar * np.diag(chol)[:, None])[np.tri(n, k=-1, dtype=bool)]
+            chol_bar -= np.sum(chol_bar * chol, axis=2)[:, :, None] * chol
+            diag = np.diagonal(chol, axis1=1, axis2=2)[:, :, None]
+            lower_bar = (chol_bar * diag)[:, np.tri(n, k=-1, dtype=bool)]
             nu_bar = 0.5 * np.sum(
-                _digamma_gap(nu, n) - n / (nu - 2.0) - np.log1p(fwd.quad / (nu - 2.0))
-                + weight * fwd.quad / (nu - 2.0)
+                digamma_gap[:, None] - n / (nu - 2.0) - np.log1p(quad / (nu - 2.0))
+                + weight * quad / (nu - 2.0), axis=1
             )
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             raise LikelihoodError(f"score evaluation failed: {exc}") from None
     # Jacobians of the exp and sigmoid transforms
-    return np.concatenate([
+    score = np.concatenate([
         mean_bar,
-        omega_bar * spec.omega,
+        omega_bar * params.omega,
         (alpha_bar * share + beta_bar * (1.0 - share)) * persistence * (1.0 - persistence),
         (alpha_bar - beta_bar) * persistence * share * (1.0 - share),
         lower_bar,
-        [nu_bar * (nu - 2.0)],
-    ])
+        (nu_bar * (params.nu - 2.0))[:, None],
+    ], axis=1)
+    return score if stack.ndim == 2 else score[0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +458,7 @@ def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
         return np.inf
     try:
         return -garch_t_loglik(*constrain_params(theta, k_mean, n), system)
-    except (LikelihoodError, OverflowError, ValueError):
+    except (LikelihoodError, ArithmeticError, ValueError):
         return np.inf
 
 
@@ -478,6 +542,7 @@ def fit_sure_garch_t(
         gradient_max=float(np.max(np.abs(result.gradient))),
         stop=result.message,
         n_evals=result.n_evals,
+        n_gradients=result.n_gradients,
         trace=tuple(-f for f in result.f_trace),
     )
 

@@ -2,10 +2,12 @@
 
 BFGS on the inverse Hessian with Armijo backtracking, started from the
 inverse of the Hessian at x0.  The caller supplies the objective and its
-exact gradient; Hessians are central differences of that gradient, and
-`newton_finish` polishes the BFGS point with Newton steps on them.  The
-objective may return +inf outside its valid region; backtracking retreats
-from such points.
+exact gradient, which maps a (P, k) stack of points to their (P, k)
+gradients.  The minimizers call it on one row at each iterate and on all 2k
+probes of a Hessian at once: Hessians are central differences of that
+gradient, and `newton_finish` polishes the BFGS point with Newton steps on
+them.  The objective may return +inf outside its valid region; backtracking
+retreats from such points.
 
 `central_gradient` and `central_hessian` difference the objective alone.
 The minimizers do not use them; they are the oracles that tests check
@@ -26,7 +28,7 @@ HESSIAN_STEP = 1e-4
 NEWTON_STEPS = 5  # most Newton steps that newton_finish takes
 
 Objective = Callable[[np.ndarray], float]
-Gradient = Callable[[np.ndarray], np.ndarray]
+Gradient = Callable[[np.ndarray], np.ndarray]  # (P, k) points to (P, k) gradients
 
 
 @dataclass
@@ -39,6 +41,7 @@ class OptimResult:
     message: str
     f_trace: tuple[float, ...]  # objective at accepted iterates, initial included
     n_evals: int  # objective evaluations
+    n_gradients: int  # gradient rows evaluated, P for each (P, k) call
 
 
 def central_gradient(fun: Objective, x: np.ndarray) -> np.ndarray:
@@ -70,13 +73,14 @@ def central_hessian(fun: Objective, x: np.ndarray) -> np.ndarray:
 def gradient_jacobian(grad: Gradient, x: np.ndarray) -> np.ndarray:
     """Hessian as the symmetrized central-difference Jacobian of grad.
 
-    Steps are HESSIAN_STEP * max(1, |x_i|): 2k gradient calls.
+    Steps are HESSIAN_STEP * max(1, |x_i|); the 2k probes x + step_i e_i,
+    then x - step_i e_i, go to grad as one (2k, k) stack.
     """
     x = np.asarray(x, dtype=float)
     steps = HESSIAN_STEP * np.maximum(1.0, np.abs(x))
-    columns = [(grad(x + e) - grad(x - e)) / (2.0 * s)
-               for s, e in zip(steps, np.diag(steps))]
-    jac = np.column_stack(columns)
+    shifts = np.diag(steps)
+    rows = np.asarray(grad(np.concatenate([x + shifts, x - shifts])), dtype=float)
+    jac = (rows[: x.size] - rows[x.size :]) / (2.0 * steps[:, None])  # row i: d/dx_i
     return (jac + jac.T) / 2.0
 
 
@@ -87,6 +91,14 @@ def _counted(fun: Objective, evals: list[int]) -> Objective:
         return float(value) if np.isfinite(value) else np.inf
 
     return f
+
+
+def _counted_rows(grad: Gradient, rows: list[int]) -> Gradient:
+    def g(z: np.ndarray) -> np.ndarray:
+        rows[0] += len(z)
+        return np.asarray(grad(z), dtype=float)
+
+    return g
 
 
 def _armijo(f: Objective, x: np.ndarray, f_x: float, direction: np.ndarray,
@@ -124,8 +136,8 @@ def minimize_bfgs(
     The inverse Hessian starts as the inverse curvature at x0 (see
     `_inverse_curvature`), not as the identity, so an ill-conditioned
     problem needs no iterations to learn its scales.  Stops on small
-    gradient or small relative change.  grad is called at accepted
-    iterates, where fun is finite, and at the 2k probes of
+    gradient or small relative change.  grad is called on one row at
+    accepted iterates, where fun is finite, and on the (2k, k) probe stack of
     `gradient_jacobian` around x0 (and around any iterate where the search
     direction stops descending).  The line search is plain backtracking on
     the Armijo condition, so the objective decreases strictly at every
@@ -135,13 +147,14 @@ def minimize_bfgs(
     """
     x = np.asarray(x0, dtype=float).copy()
     k = x.size
-    evals = [0]
+    evals, rows = [0], [0]
     f = _counted(fun, evals)
+    grad = _counted_rows(grad, rows)
 
     f_x = f(x)
     if not np.isfinite(f_x):
         raise ValueError("objective is not finite at the starting point")
-    g = np.asarray(grad(x), dtype=float)
+    g = grad(x[None])[0]
     h_inv = _inverse_curvature(grad, x)
     trace = [f_x]
     message = "maximum iterations reached"
@@ -163,7 +176,7 @@ def minimize_bfgs(
             message = "line search failed to make progress"
             break
         x_new, f_new = accepted
-        g_new = np.asarray(grad(x_new), dtype=float)
+        g_new = grad(x_new[None])[0]
         step = x_new - x
         y = g_new - g
         sy = float(step @ y)
@@ -190,6 +203,7 @@ def minimize_bfgs(
         message=message,
         f_trace=tuple(trace),
         n_evals=evals[0],
+        n_gradients=rows[0],
     )
 
 
@@ -203,8 +217,9 @@ def newton_finish(
     Newton step, at most NEWTON_STEPS of them.  Accepted steps extend the
     iteration count and the trace; message names the rule that stopped.
     """
-    evals = [0]
+    evals, rows = [0], [0]
     f = _counted(fun, evals)
+    grad = _counted_rows(grad, rows)
     x, f_x, g = start.x, start.fun, start.gradient
     trace = list(start.f_trace)
     steps = 0
@@ -227,7 +242,7 @@ def newton_finish(
             message = "Newton line search failed to make progress"
             break
         x, f_x = accepted
-        g = np.asarray(grad(x), dtype=float)
+        g = grad(x[None])[0]
         trace.append(f_x)
         steps += 1
     result = OptimResult(
@@ -239,5 +254,6 @@ def newton_finish(
         message=message,
         f_trace=tuple(trace),
         n_evals=start.n_evals + evals[0],
+        n_gradients=start.n_gradients + rows[0],
     )
     return result, hessian

@@ -275,6 +275,14 @@ def lag_order_table(
     }
 
 
+def _dependent_column(x: np.ndarray) -> int:
+    """The first column of x in the span of the columns before it, by
+    matrix_rank's default tolerance on R's diagonal; else the weakest one."""
+    diag = np.abs(np.diagonal(np.linalg.qr(x, mode="r")))
+    below = np.flatnonzero(diag < diag.max() * max(x.shape) * np.finfo(float).eps)
+    return int(below[0]) if below.size else int(np.argmin(diag))
+
+
 def ols_fit(system: SureSystem) -> CoefficientEstimate:
     """Equation-by-equation least squares; consistent but not efficient."""
     coefs, gram_invs = [], []
@@ -285,9 +293,16 @@ def ols_fit(system: SureSystem) -> CoefficientEstimate:
         except np.linalg.LinAlgError:
             entry, names = system.layout[sl.start], system.variable_names
             name = f" ({names[entry.eq_var - 1]})" if entry.eq_var <= len(names) else ""
+            column = system.layout[sl.start + _dependent_column(system.regressors[i])]
+            if column.reg_var is None:
+                regressor = "the intercept"
+            elif column.reg_var <= len(names):
+                regressor = f"a lag of {names[column.reg_var - 1]!r}"
+            else:
+                regressor = "a regressor"
             raise SingularityError(
                 f"equation Z{entry.eq_sign}{entry.eq_var}{name}: design matrix "
-                "is rank-deficient"
+                f"is rank-deficient at {column.name}, {regressor}"
             ) from None
         coefs.append(np.linalg.solve(gram, system.xty[sl, i]))
         inv_chol = np.linalg.solve(chol, np.eye(chol.shape[0]))

@@ -239,10 +239,13 @@ class TestPipeline:
         assert estimation["gradient_max"] < GTOL
         assert estimation["stop"] == "gradient norm below tolerance"
         assert isinstance(estimation["n_evals"], int) and estimation["n_evals"] > 0
+        # score rows: at least the 2 x 39 probes of the curvature at the start
+        assert isinstance(estimation["n_gradients"], int)
+        assert estimation["n_gradients"] > 2 * 39
         assert 1.0 <= estimation["information_condition"] < np.inf
         parsed = parse_report(report.to_json())
         assert parsed == report
-        for key in ("n_evals", "information_condition"):
+        for key in ("n_evals", "n_gradients", "information_condition"):
             assert parsed.diagnostics["estimation"][key] == estimation[key]
         # 158 observations for 39 parameters: the small-sample warning is reported
         assert report.diagnostics["warnings"] == [

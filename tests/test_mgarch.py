@@ -248,6 +248,35 @@ class TestScore:
         assert np.all(np.abs(score - differences)
                       <= 1e-6 * np.maximum(1.0, np.abs(differences)) + rounding)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), signed_pair=st.booleans(),
+           spread=st.floats(0.0, 1.0), n_rows=st.integers(1, 5))
+    def test_stacked_rows_equal_single_calls(self, seed, signed_pair, spread, n_rows):
+        rng = np.random.default_rng(seed)
+        draws = simulate_ccc_garch_t(random_spec(rng, 2), 120, seed=seed)
+        if signed_pair:
+            levels = np.vstack([np.zeros(2), np.cumsum(draws, axis=0)])
+            system = pair_system(levels, *rng.integers(1, 3, size=2))
+        else:
+            system = intercept_system(draws)
+        spec = random_spec(rng, system.n_equations)
+        theta = unconstrain_params(fgls_fit(system).coefficients, spec)
+        stack = theta + spread * rng.standard_normal((n_rows, theta.size))
+        stacked = garch_t_score(stack, system)
+        assert stacked.shape == stack.shape
+        single = np.array([garch_t_score(row, system) for row in stack])
+        assert np.all(np.abs(stacked - single) <= 1e-12 * np.abs(single) + 1e-12)
+
+    def test_a_failing_row_fails_the_stack(self, garch_pair):
+        start = fgls_fit(garch_pair)
+        theta = unconstrain_params(start.coefficients, _initial_spec(start.residuals))
+        bad = theta.copy()
+        bad[0] = 1e200  # an intercept whose squared residuals overflow
+        assert np.all(np.isfinite(garch_t_score(np.stack([theta, theta]), garch_pair)))
+        for stack in (bad, np.stack([theta, bad, theta]), np.stack([theta, bad])):
+            with pytest.raises(LikelihoodError, match="failed"):
+                garch_t_score(stack, garch_pair)
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(0.5, 1e12))
     def test_digamma_matches_mpmath(self, x):

@@ -26,13 +26,18 @@ def rosenbrock(x):
 
 
 def rosenbrock_gradient(x):
-    return np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
-                     200.0 * (x[1] - x[0] ** 2)])
+    """The gradient at each row of a (P, 2) stack."""
+    x0, x1 = x[:, 0], x[:, 1]
+    return np.column_stack([-400.0 * x0 * (x1 - x0**2) - 2.0 * (1.0 - x0),
+                            200.0 * (x1 - x0**2)])
 
 
 def bfgs(fun, x0, **kwargs):
-    """minimize_bfgs on the central-difference gradient of fun."""
-    return minimize_bfgs(fun, lambda x: central_gradient(fun, x), x0, **kwargs)
+    """minimize_bfgs on the central-difference gradient of fun, row by row."""
+    def grad(x):
+        return np.array([central_gradient(fun, row) for row in x])
+
+    return minimize_bfgs(fun, grad, x0, **kwargs)
 
 
 class TestDerivatives:
@@ -52,7 +57,37 @@ class TestDerivatives:
     def test_jacobian_of_quadratic_gradient(self, rng):
         a = np.array([[4.0, 1.0, 0.0], [1.0, 2.0, -0.5], [0.0, -0.5, 3.0]])
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(gradient_jacobian(lambda z: a @ z, x), a, atol=1e-10)
+        np.testing.assert_allclose(gradient_jacobian(lambda z: z @ a.T, x), a, atol=1e-10)
+
+    def test_jacobian_probes_go_to_grad_as_one_stack(self, rng):
+        calls = []
+
+        def grad(z):
+            calls.append(z.shape)
+            return np.sin(z) * z[:, ::-1] ** 2 + z**3
+
+        x = rng.standard_normal(4) * np.array([1.0, 3.0, 0.1, 10.0])
+        jac = gradient_jacobian(grad, x)
+        assert calls == [(8, 4)]
+        # the per-probe formula: column i is (grad(x + e_i) - grad(x - e_i)) / 2 s_i
+        steps = optim.HESSIAN_STEP * np.maximum(1.0, np.abs(x))
+        columns = [(grad((x + e)[None])[0] - grad((x - e)[None])[0]) / (2.0 * s)
+                   for s, e in zip(steps, np.diag(steps))]
+        per_probe = np.column_stack(columns)
+        np.testing.assert_allclose(jac, (per_probe + per_probe.T) / 2.0, rtol=1e-12)
+
+    def test_gradient_rows_are_counted(self):
+        rows = []
+
+        def grad(z):
+            rows.append(len(z))
+            return rosenbrock_gradient(z)
+
+        start = minimize_bfgs(rosenbrock, grad, np.array([1.1, 1.2]), max_iter=2)
+        assert start.n_gradients == sum(rows) == 1 + 2 * 2 + start.iterations
+        result, _ = newton_finish(rosenbrock, grad, start)
+        assert rows.count(4) == 1 + (len(result.f_trace) - len(start.f_trace)) + 1
+        assert result.n_gradients == sum(rows)
 
 
 class TestBfgs:
@@ -97,7 +132,7 @@ class TestBfgs:
         # identity, BFGS needs over a hundred iterations to learn the scales
         rotation, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         a = (rotation * np.logspace(0, 8, 10)) @ rotation.T
-        result = minimize_bfgs(quadratic(a, np.zeros(10)), lambda x: a @ x, np.ones(10))
+        result = minimize_bfgs(quadratic(a, np.zeros(10)), lambda x: x @ a.T, np.ones(10))
         assert result.converged
         assert result.iterations <= 3
 
@@ -138,7 +173,7 @@ class TestNewtonFinish:
             return x[0] ** 2 - x[1] ** 2
 
         def saddle_gradient(x):
-            return np.array([2.0 * x[0], -2.0 * x[1]])
+            return x * np.array([2.0, -2.0])
 
         start = minimize_bfgs(saddle, saddle_gradient, np.array([1.0, 1.0]), max_iter=0)
         result, hessian = newton_finish(saddle, saddle_gradient, start)

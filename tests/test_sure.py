@@ -296,6 +296,16 @@ class TestOls:
         with pytest.raises(SingularityError, match=r"^equation Z-1 \(up\): "):
             ols_fit(build_design(up, other, 1, 1, extra_lags=1))
 
+    def test_rank_deficiency_names_the_dependent_regressor(self):
+        # in either position the error names the lag of the series with the
+        # constant component, not the first series
+        up = increasing_components()
+        other = components_from_walks(seed=12, t_obs=120)[0]
+        for pair, column in (((up, other), "beta-_1,1"), ((other, up), "beta-_2,1")):
+            message = f"rank-deficient at {column}, a lag of 'up'$"
+            with pytest.raises(SingularityError, match=message):
+                ols_fit(build_design(*pair, 1, 1, extra_lags=1))
+
 
 class TestFgls:
     def test_identity_omega_reproduces_ols(self, rng):
