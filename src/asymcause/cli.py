@@ -125,10 +125,10 @@ def load_csv(
 ) -> Series:
     """Read one DATE,VALUE series; strict about gaps and ordering.
 
-    Missing markers ("." or empty) and malformed numbers are rejected with
-    their row number.  Dates must be strictly increasing: as numbers if every
-    label is numeric, as dates if every label is an ISO date, otherwise as
-    strings.
+    Missing markers ("." or empty), malformed numbers and non-finite values
+    are rejected with their row number.  Dates must be strictly increasing:
+    as numbers if every label is numeric, as dates if every label is an ISO
+    date, otherwise as strings.
     If the requested value column is absent from a two-column file, the
     non-date column is used (FRED names it after the series id).
     """
@@ -177,6 +177,13 @@ def load_csv(
             dates.append(stamp)
             values.append(value)
             row_numbers.append(row_number)
+    array = np.asarray(values)
+    non_finite = np.flatnonzero(~np.isfinite(array))
+    if non_finite.size:
+        i = non_finite[0]
+        raise DataError(
+            f"{path}: non-finite value '{array[i]}' at row {row_numbers[i]}"
+        )
     keys = _date_keys(dates)
     for i in range(1, len(keys)):
         if not keys[i] > keys[i - 1]:
@@ -187,7 +194,7 @@ def load_csv(
     series_name = name or (
         header[value_idx] if header[value_idx].upper() != "VALUE" else file_path.stem
     )
-    return Series(values=np.asarray(values), timestamps=tuple(dates), name=series_name)
+    return Series(values=array, timestamps=tuple(dates), name=series_name)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@ from .sure import CoefficientEstimate, SureSystem, _lagged_design, fgls_fit
 from .wald import chisq_sf
 
 _INTERIOR = 1e-12  # probabilities are clipped into the open unit interval
-_STIRLING_FROM = 1e3  # gamma-function gaps use series from nu / 2 = this on
+_STIRLING_FROM = 1e3  # the log-gamma gap uses Stirling's series from nu / 2 = this on
 # The fit refuses persistence and share logits beyond this: sigmoid(30) = 1 - 9.4e-14
 # keeps every transform's slope nonzero, while from ~36.7 on the sigmoid rounds to 1.
 _LOGIT_LIMIT = 30.0
+BFGS_MAX_ITER = 500  # most BFGS iterations of a GARCH-t fit
 
 
 @dataclass(frozen=True)
@@ -240,8 +241,8 @@ def _linear_recursion(rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _nu_terms(nu: np.ndarray, n: int) -> np.ndarray:
-    """Per row of nu: the t density's log-constant, n log((nu - 2) / nu) and
-    psi((nu + n) / 2) - psi(nu / 2), as a (3, P) array.
+    """Per row of nu: the t density's log-constant and n log((nu - 2) / nu),
+    as a (2, P) array.
 
     Scalars of nu alone, on Python floats: math.lgamma has no numpy
     counterpart, and np.log may round a value differently from math.log,
@@ -249,7 +250,7 @@ def _nu_terms(nu: np.ndarray, n: int) -> np.ndarray:
     """
     return np.array([
         (_lgamma_gap(v, n) - 0.5 * n * math.log(v * math.pi),
-         n * math.log((v - 2.0) / v), _digamma_gap(v, n))
+         n * math.log((v - 2.0) / v))
         for v in nu.tolist()
     ]).T
 
@@ -265,7 +266,6 @@ class _Forward(NamedTuple):
     chol: np.ndarray  # (P, n, n) lower Cholesky factors of the correlations
     half: np.ndarray  # (P, n, T) chol^-1 z'
     quad: np.ndarray  # (P, T) q = z' correlation^-1 z
-    digamma_gap: np.ndarray  # (P,)
 
 
 def _forward(resid: np.ndarray, params: _Params) -> _Forward:
@@ -277,7 +277,7 @@ def _forward(resid: np.ndarray, params: _Params) -> _Forward:
     """
     n = resid.shape[2]
     nu = params.nu
-    const, n_log_scale, digamma_gap = _nu_terms(nu, n)
+    const, n_log_scale = _nu_terms(nu, n)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             sq = resid**2
@@ -306,7 +306,7 @@ def _forward(resid: np.ndarray, params: _Params) -> _Forward:
             raise LikelihoodError(f"log-likelihood evaluation failed: {exc}") from None
     if not np.all(np.isfinite(value)):
         raise LikelihoodError("log-likelihood is not finite")
-    return _Forward(value, sq, s2, h, std_resid, chol, half, quad, digamma_gap)
+    return _Forward(value, sq, s2, h, std_resid, chol, half, quad)
 
 
 def garch_t_loglik(
@@ -326,19 +326,6 @@ def garch_t_loglik(
     return float(_forward(resid[:, None], params).value[0])
 
 
-def _digamma(x: float) -> float:
-    """psi(x) for x > 0: recurrence up to x >= 10, then the asymptotic series."""
-    shift = 0.0
-    while x < 10.0:
-        shift -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    # Bernoulli terms B_2k / (2k x^2k), k = 1..7
-    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (
-        1 / 240 - inv2 * (1 / 132 - inv2 * (691 / 32760 - inv2 / 12))))))
-    return shift + math.log(x) - 0.5 / x - series
-
-
 def _lgamma_gap(nu: float, n: int) -> float:
     """lgamma((nu + n) / 2) - lgamma(nu / 2), by Stirling's series for large nu.
 
@@ -351,13 +338,10 @@ def _lgamma_gap(nu: float, n: int) -> float:
     return (x - 0.5) * math.log1p(a / x) + a * math.log(x + a) - a - a / (12.0 * x * (x + a))
 
 
-def _digamma_gap(nu: float, n: int) -> float:
-    """psi((nu + n) / 2) - psi(nu / 2), by the asymptotic series for large nu."""
-    x, a = nu / 2.0, n / 2.0
-    if x < _STIRLING_FROM:
-        return _digamma((nu + n) / 2.0) - _digamma(x)
-    return (math.log1p(a / x) + a / (2.0 * x * (x + a))
-            + a * (2.0 * x + a) / (12.0 * (x * (x + a)) ** 2))
+def _psi_gap(nu: np.ndarray, n: int) -> np.ndarray:
+    """psi((nu + n) / 2) - psi(nu / 2) for even n: the sum of 1 / (nu / 2 + j)
+    over j < n / 2, by psi(x + 1) = psi(x) + 1 / x."""
+    return sum(1.0 / (nu / 2.0 + j) for j in range(n // 2))
 
 
 def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
@@ -369,10 +353,13 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     recursion, lambda_t = dl_t/dh_t + beta * lambda_{t+1}, which also reaches
     the mean coefficients through the presample variance (Bollerslev 1990;
     Fiorentini, Sentana & Calzolari 2003).  Every step runs on all rows at
-    once; the recursions loop over the T observations only.
+    once; the recursions loop over the T observations only.  The system needs
+    an even number of equations, where _psi_gap is exact.
     """
     stack = np.asarray(theta, dtype=float)
     k_mean, n = system.n_coefficients, system.n_equations
+    if n % 2:
+        raise ValueError(f"the score needs an even number of equations, got {n}")
     mean, params, persistence, share = _constrained(np.atleast_2d(stack), k_mean, n)
     t_eff, p = system.effective_sample, len(mean)
     # each coefficient's column of the stacked design feeds its own equation;
@@ -384,7 +371,7 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     np.subtract(np.column_stack(system.regressands)[:, None, :],
                 fitted.transpose(1, 0, 2), out=resid)
     del fitted
-    _, sq, s2, h, z, chol, half, quad, digamma_gap = _forward(resid, params)
+    _, sq, s2, h, z, chol, half, quad = _forward(resid, params)
     nu = params.nu[:, None]
     # (T, P, n) arrays stay C-ordered, so each recursion step is one contiguous
     # row, and each is dropped once spent: a Jacobian's stack has P = 2k rows
@@ -428,7 +415,7 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
             diag = np.diagonal(chol, axis1=1, axis2=2)[:, :, None]
             lower_bar = (chol_bar * diag)[:, np.tri(n, k=-1, dtype=bool)]
             nu_bar = 0.5 * np.sum(
-                digamma_gap[:, None] - n / (nu - 2.0) - np.log1p(quad / (nu - 2.0))
+                _psi_gap(nu, n) - n / (nu - 2.0) - np.log1p(quad / (nu - 2.0))
                 + weight * quad / (nu - 2.0), axis=1
             )
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
@@ -480,21 +467,20 @@ def _initial_spec(resid: np.ndarray) -> GarchSpec:
 
 
 def fit_sure_garch_t(
-    system: SureSystem,
-    init: Optional[CoefficientEstimate] = None,
-    max_iter: int = 500,
+    system: SureSystem, init: Optional[CoefficientEstimate] = None
 ) -> GarchFit:
     """Maximize the GARCH-t likelihood over transformed parameters.
 
     Mean coefficients start from FGLS (or the supplied estimate); variance
-    parameters start from moment-based values.  BFGS on the analytic score,
-    its inverse Hessian seeded from the observed information at the start,
-    then Newton steps on the observed information: central differences of
-    the score.  The objective is +inf once a persistence or share logit
-    passes +-_LOGIT_LIMIT, so the fit stops short of a boundary (alpha or
-    beta = 0, alpha + beta = 1) instead of saturating the map.  The
-    correlation is C C' with C's rows those of a unit-lower-triangular
-    matrix scaled to unit length, so its coordinates need no guard.
+    parameters start from moment-based values.  At most BFGS_MAX_ITER BFGS
+    iterations on the analytic score, its inverse Hessian seeded from the
+    observed information at the start, then Newton steps on the observed
+    information: central differences of the score.  The objective is +inf
+    once a persistence or share logit passes +-_LOGIT_LIMIT, so the fit
+    stops short of a boundary (alpha or beta = 0, alpha + beta = 1) instead
+    of saturating the map.  The correlation is C C' with C's rows those of a
+    unit-lower-triangular matrix scaled to unit length, so its coordinates
+    need no guard.
     The reported covariance of the mean coefficients is the corresponding
     block of the inverse information at the returned point.
     """
@@ -515,7 +501,7 @@ def fit_sure_garch_t(
     def gradient(theta: np.ndarray) -> np.ndarray:
         return -garch_t_score(theta, system)
 
-    result = minimize_bfgs(objective, gradient, theta0, max_iter=max_iter)
+    result = minimize_bfgs(objective, gradient, theta0, max_iter=BFGS_MAX_ITER)
     result, information = newton_finish(objective, gradient, result)
     mean_hat, spec_hat = constrain_params(result.x, k_mean, n)
     try:

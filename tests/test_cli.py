@@ -92,6 +92,21 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("raw, shown", [
+        ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("-Infinity", "-inf"),
+    ])
+    def test_non_finite_value_names_file_and_row(self, tmp_path, capsys, raw, shown):
+        rows = [f"1999-{month:02d}-01,{month}.0" for month in range(1, 10)]
+        rows[5] = f"1999-06-01,{raw}"  # file row 7, after the header
+        path = tmp_path / "a_nan.csv"
+        path.write_text("DATE,VALUE\n" + "\n".join(rows) + "\n")
+        message = f"{path}: non-finite value '{shown}' at row 7"
+        with pytest.raises(DataError) as caught:
+            load_csv(str(path))
+        assert str(caught.value) == message
+        assert main(["decompose", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_monotone_dates(self, tmp_path):
         path = tmp_path / "order.csv"
         path.write_text(

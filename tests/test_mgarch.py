@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asymcause import fgls_fit, optim
+from asymcause import fgls_fit, mgarch, optim
 from asymcause.decomposition import Series, decompose
 from asymcause.errors import InsufficientDataError, LikelihoodError, SingularityError
 from asymcause.mgarch import (
@@ -23,9 +23,10 @@ from asymcause.mgarch import (
 )
 from asymcause.mgarch import (
     _LOGIT_LIMIT,
-    _digamma,
     _initial_spec,
+    _lgamma_gap,
     _negative_loglik,
+    _psi_gap,
     constrain_params,
     unconstrain_params,
 )
@@ -278,12 +279,33 @@ class TestScore:
                 garch_t_score(stack, garch_pair)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.floats(0.5, 1e12))
-    def test_digamma_matches_mpmath(self, x):
-        # relative; the 1e-15 floor covers the zero of psi near x = 1.4616
-        with mpmath.workdps(30):
-            exact = float(mpmath.digamma(x))
-        assert abs(_digamma(x) - exact) <= 1e-11 * abs(exact) + 1e-15
+    @given(log_nu=st.floats(math.log(2.0 + 1e-4), math.log(1e15)),
+           n=st.sampled_from([2, 4]))
+    def test_psi_gap_matches_mpmath(self, log_nu, n):
+        nu = math.exp(log_nu)
+        with mpmath.workdps(40):
+            exact = float(mpmath.digamma((mpmath.mpf(nu) + n) / 2)
+                          - mpmath.digamma(mpmath.mpf(nu) / 2))
+        assert abs(_psi_gap(np.array([nu]), n)[0] - exact) <= 1e-14 * exact
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_nu=st.floats(math.log(2.0 + 1e-4), math.log(1e15)),
+           n=st.sampled_from([1, 2, 3, 4]))
+    @example(log_nu=math.log(1999.0), n=3)  # either side of Stirling's series,
+    @example(log_nu=math.log(2001.0), n=3)  # which starts at nu = 2 _STIRLING_FROM
+    def test_lgamma_gap_matches_mpmath(self, log_nu, n):
+        nu = math.exp(log_nu)
+        with mpmath.workdps(40):
+            exact = float(mpmath.loggamma((mpmath.mpf(nu) + n) / 2)
+                          - mpmath.loggamma(mpmath.mpf(nu) / 2))
+        assert abs(_lgamma_gap(nu, n) - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_odd_equation_count_rejected(self, rng):
+        system = intercept_system(rng.standard_normal((80, 3)))
+        coefficients, spec = np.zeros(3), random_spec(rng, 3)
+        assert np.isfinite(garch_t_loglik(coefficients, spec, system))
+        with pytest.raises(ValueError, match="even number of equations, got 3"):
+            garch_t_score(unconstrain_params(coefficients, spec), system)
 
     def test_loglik_matches_the_row_recursion_bit_for_bit(self, garch_pair):
         start = fgls_fit(garch_pair)
@@ -366,14 +388,15 @@ class TestFit:
             assert fit.loglik >= fit.trace[0] - 1e-9
         assert passes >= 2
 
-    def test_trace_is_nondecreasing_loglik(self, rng):
+    def test_trace_is_nondecreasing_loglik(self, rng, monkeypatch):
         spec = GarchSpec(omega=np.array([0.2, 0.2]), alpha=np.full(2, 0.15),
                          beta=np.full(2, 0.7),
                          correlation=np.array([[1.0, 0.4], [0.4, 1.0]]), nu=6.0)
         data = simulate_ccc_garch_t(spec, 400, seed=31)
+        monkeypatch.setattr(mgarch, "BFGS_MAX_ITER", 60)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fit = fit_sure_garch_t(intercept_system(data), max_iter=60)
+            fit = fit_sure_garch_t(intercept_system(data))
         trace = fit.trace
         assert all(later >= earlier for earlier, later in zip(trace, trace[1:]))
         assert fit.mean.estimator == "garch_t"
@@ -423,10 +446,11 @@ class TestFit:
         trace = fit.trace
         assert all(later >= earlier for earlier, later in zip(trace, trace[1:]))
 
-    def test_small_sample_warning(self, rng):
+    def test_small_sample_warning(self, rng, monkeypatch):
+        monkeypatch.setattr(mgarch, "BFGS_MAX_ITER", 5)
         data = rng.standard_normal((60, 2))
         with pytest.warns(UserWarning, match="free parameters"):
-            fit_sure_garch_t(intercept_system(data), max_iter=5)
+            fit_sure_garch_t(intercept_system(data))
 
 
 class TestArchLm:
