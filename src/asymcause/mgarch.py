@@ -26,7 +26,6 @@ from .sure import CoefficientEstimate, SureSystem, _lagged_design, fgls_fit
 from .wald import chisq_sf
 
 _INTERIOR = 1e-12  # probabilities are clipped into the open unit interval
-_STIRLING_FROM = 1e3  # the log-gamma gap uses Stirling's series from nu / 2 = this on
 # The fit refuses persistence and share logits beyond this: sigmoid(30) = 1 - 9.4e-14
 # keeps every transform's slope nonzero, while from ~36.7 on the sigmoid rounds to 1.
 _LOGIT_LIMIT = 30.0
@@ -240,19 +239,15 @@ def _linear_recursion(rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _nu_terms(nu: np.ndarray, n: int) -> np.ndarray:
-    """Per row of nu: the t density's log-constant and n log((nu - 2) / nu),
-    as a (2, P) array.
+def _nu_shifts(nu: np.ndarray, n: int) -> np.ndarray:
+    """nu / 2 + j for j < n / 2: an (n / 2, P) array for a (P,) nu and even n.
 
-    Scalars of nu alone, on Python floats: math.lgamma has no numpy
-    counterpart, and np.log may round a value differently from math.log,
-    which the one-row log-likelihood must match bit for bit.
+    By Gamma(x + 1) = x Gamma(x), their log sum is lgamma((nu + n) / 2) -
+    lgamma(nu / 2) and their reciprocal sum psi((nu + n) / 2) - psi(nu / 2).
     """
-    return np.array([
-        (_lgamma_gap(v, n) - 0.5 * n * math.log(v * math.pi),
-         n * math.log((v - 2.0) / v))
-        for v in nu.tolist()
-    ]).T
+    if n % 2:
+        raise ValueError(f"the GARCH-t likelihood needs an even number of equations, got {n}")
+    return nu / 2.0 + np.arange(n // 2)[:, None]
 
 
 class _Forward(NamedTuple):
@@ -269,7 +264,7 @@ class _Forward(NamedTuple):
 
 
 def _forward(resid: np.ndarray, params: _Params) -> _Forward:
-    """garch_t_loglik of each row at its (T, P, n) residuals.
+    """garch_t_loglik of each row at its (T, P, n) residuals, n even.
 
     Presample squared shock and variance are both set to the sample mean
     square of each equation's residuals, so h_0 = omega + (alpha+beta)*s2
@@ -277,9 +272,11 @@ def _forward(resid: np.ndarray, params: _Params) -> _Forward:
     """
     n = resid.shape[2]
     nu = params.nu
-    const, n_log_scale = _nu_terms(nu, n)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
+            # the scale matrix S_t = (nu - 2) / nu * H_t folds into pi (nu - 2)
+            const = (np.sum(np.log(_nu_shifts(nu, n)), axis=0)
+                     - 0.5 * n * np.log(np.pi * (nu - 2.0)))
             sq = resid**2
             s2 = np.mean(sq, axis=0)
             h = np.empty_like(sq)
@@ -295,12 +292,8 @@ def _forward(resid: np.ndarray, params: _Params) -> _Forward:
             quad = np.sum(half**2, axis=1)
             logdet_corr = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
             logdet_h = logdet_corr[:, None] + np.sum(np.log(h), axis=2).T
-            scale = (nu - 2.0) / nu  # scale matrix S_t = scale * H_t
-            terms = (
-                const[:, None]
-                - 0.5 * (logdet_h + n_log_scale[:, None])
-                - (0.5 * (nu + n))[:, None] * np.log1p(quad / scale[:, None] / nu[:, None])
-            )
+            kernel = np.log1p(quad / (nu - 2.0)[:, None])
+            terms = const[:, None] - 0.5 * logdet_h - (0.5 * (nu + n))[:, None] * kernel
             value = np.sum(terms, axis=1)
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             raise LikelihoodError(f"log-likelihood evaluation failed: {exc}") from None
@@ -316,7 +309,8 @@ def garch_t_loglik(
 
     The conditional covariance is H_t = D_t * correlation * D_t with D_t the
     diagonal of conditional standard deviations; the multivariate t density is
-    scaled by (nu-2)/nu so H_t is the actual conditional covariance.
+    scaled by (nu-2)/nu so H_t is the actual conditional covariance.  An odd
+    number of equations raises ValueError: see _nu_shifts.
     """
     if system.n_equations != spec.n:
         raise ValueError("GarchSpec dimension does not match the system")
@@ -326,22 +320,9 @@ def garch_t_loglik(
     return float(_forward(resid[:, None], params).value[0])
 
 
-def _lgamma_gap(nu: float, n: int) -> float:
-    """lgamma((nu + n) / 2) - lgamma(nu / 2), by Stirling's series for large nu.
-
-    The difference of two lgamma values near x log x, x = nu / 2, would lose
-    about 1e-16 x log x, which swamps the likelihood once nu reaches ~1e11.
-    """
-    x, a = nu / 2.0, n / 2.0
-    if x < _STIRLING_FROM:
-        return math.lgamma((nu + n) / 2.0) - math.lgamma(x)
-    return (x - 0.5) * math.log1p(a / x) + a * math.log(x + a) - a - a / (12.0 * x * (x + a))
-
-
 def _psi_gap(nu: np.ndarray, n: int) -> np.ndarray:
-    """psi((nu + n) / 2) - psi(nu / 2) for even n: the sum of 1 / (nu / 2 + j)
-    over j < n / 2, by psi(x + 1) = psi(x) + 1 / x."""
-    return sum(1.0 / (nu / 2.0 + j) for j in range(n // 2))
+    """psi((nu + n) / 2) - psi(nu / 2) of a (P,) nu, for even n."""
+    return np.sum(1.0 / _nu_shifts(nu, n), axis=0)
 
 
 def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
@@ -353,13 +334,11 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     recursion, lambda_t = dl_t/dh_t + beta * lambda_{t+1}, which also reaches
     the mean coefficients through the presample variance (Bollerslev 1990;
     Fiorentini, Sentana & Calzolari 2003).  Every step runs on all rows at
-    once; the recursions loop over the T observations only.  The system needs
-    an even number of equations, where _psi_gap is exact.
+    once; the recursions loop over the T observations only.  Like the
+    log-likelihood, it needs an even number of equations.
     """
     stack = np.asarray(theta, dtype=float)
     k_mean, n = system.n_coefficients, system.n_equations
-    if n % 2:
-        raise ValueError(f"the score needs an even number of equations, got {n}")
     mean, params, persistence, share = _constrained(np.atleast_2d(stack), k_mean, n)
     t_eff, p = system.effective_sample, len(mean)
     # each coefficient's column of the stacked design feeds its own equation;
@@ -415,7 +394,7 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
             diag = np.diagonal(chol, axis1=1, axis2=2)[:, :, None]
             lower_bar = (chol_bar * diag)[:, np.tri(n, k=-1, dtype=bool)]
             nu_bar = 0.5 * np.sum(
-                _psi_gap(nu, n) - n / (nu - 2.0) - np.log1p(quad / (nu - 2.0))
+                _psi_gap(params.nu, n)[:, None] - n / (nu - 2.0) - np.log1p(quad / (nu - 2.0))
                 + weight * quad / (nu - 2.0), axis=1
             )
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
@@ -445,7 +424,7 @@ def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
         return np.inf
     try:
         return -garch_t_loglik(*constrain_params(theta, k_mean, n), system)
-    except (LikelihoodError, ArithmeticError, ValueError):
+    except (LikelihoodError, ArithmeticError):
         return np.inf
 
 

@@ -24,8 +24,8 @@ from asymcause.mgarch import (
 from asymcause.mgarch import (
     _LOGIT_LIMIT,
     _initial_spec,
-    _lgamma_gap,
     _negative_loglik,
+    _nu_shifts,
     _psi_gap,
     constrain_params,
     unconstrain_params,
@@ -84,11 +84,10 @@ def reference_loglik(coefficients, spec, system):
     quad = np.sum(np.linalg.solve(chol, (resid / np.sqrt(h)).T) ** 2, axis=0)
     logdet_h = 2.0 * np.sum(np.log(np.diag(chol))) + np.sum(np.log(h), axis=1)
     nu = spec.nu
-    scale = (nu - 2.0) / nu
-    const = (math.lgamma((nu + n) / 2.0) - math.lgamma(nu / 2.0)
-             - 0.5 * n * math.log(nu * math.pi))
-    terms = (const - 0.5 * (logdet_h + n * math.log(scale))
-             - 0.5 * (nu + n) * np.log1p(quad / scale / nu))
+    # lgamma((nu + n) / 2) - lgamma(nu / 2) as a finite sum, for even n
+    const = (sum(np.log(nu / 2.0 + j) for j in range(n // 2))
+             - 0.5 * n * np.log(np.pi * (nu - 2.0)))
+    terms = const - 0.5 * logdet_h - 0.5 * (nu + n) * np.log1p(quad / (nu - 2.0))
     return float(np.sum(terms))
 
 
@@ -175,17 +174,17 @@ class TestLoglik:
         assert value == pytest.approx(gaussian, abs=1e-3)
 
     def test_zero_residuals_unit_variance_value(self):
-        system = intercept_system(np.zeros((100, 1)))
-        spec = GarchSpec(omega=np.array([1.0]), alpha=np.array([0.0]),
-                         beta=np.array([0.0]), correlation=np.eye(1), nu=1e6)
-        value = garch_t_loglik(np.zeros(1), spec, system)
-        assert value == pytest.approx(-50.0 * math.log(2 * math.pi), abs=1e-3)
+        system = intercept_system(np.zeros((100, 2)))
+        spec = GarchSpec(omega=np.ones(2), alpha=np.zeros(2),
+                         beta=np.zeros(2), correlation=np.eye(2), nu=1e6)
+        value = garch_t_loglik(np.zeros(2), spec, system)
+        assert value == pytest.approx(-100.0 * math.log(2 * math.pi), abs=1e-3)
 
     def test_equation_permutation_invariance(self, rng):
-        data = rng.standard_normal((150, 3))
-        spec = random_spec(rng, 3)
-        base = garch_t_loglik(np.zeros(3), spec, intercept_system(data))
-        perm = [2, 0, 1]
+        data = rng.standard_normal((150, 4))
+        spec = random_spec(rng, 4)
+        base = garch_t_loglik(np.zeros(4), spec, intercept_system(data))
+        perm = [3, 0, 1, 2]
         spec_p = GarchSpec(
             omega=spec.omega[perm],
             alpha=spec.alpha[perm],
@@ -194,18 +193,31 @@ class TestLoglik:
             nu=spec.nu,
         )
         permuted = garch_t_loglik(
-            np.zeros(3), spec_p, intercept_system(data[:, perm])
+            np.zeros(4), spec_p, intercept_system(data[:, perm])
         )
         assert permuted == pytest.approx(base, rel=1e-12)
 
     def test_overflow_raises_likelihood_error(self):
-        data = np.full((60, 1), 1e200)
+        data = np.full((60, 2), 1e200)
         data[::2] *= -1.0
         system = intercept_system(data)
-        spec = GarchSpec(omega=np.array([1.0]), alpha=np.array([0.3]),
-                         beta=np.array([0.5]), correlation=np.eye(1), nu=5.0)
+        spec = GarchSpec(omega=np.ones(2), alpha=np.full(2, 0.3),
+                         beta=np.full(2, 0.5), correlation=np.eye(2), nu=5.0)
         with pytest.raises(LikelihoodError):
-            garch_t_loglik(np.zeros(1), spec, system)
+            garch_t_loglik(np.zeros(2), spec, system)
+
+    def test_nu_edges_raise_likelihood_error(self, rng):
+        # log(nu - 2) = -40 or -800 rounds nu to exactly 2; at +709, pi (nu - 2)
+        # overflows
+        system = intercept_system(rng.standard_normal((80, 2)))
+        theta = unconstrain_params(np.zeros(2), random_spec(rng, 2))
+        for log_excess in (-40.0, -800.0, 709.0):
+            theta[-1] = log_excess
+            with pytest.raises(LikelihoodError):
+                garch_t_loglik(*constrain_params(theta, 2, 2), system)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _negative_loglik(theta, system) == np.inf
 
     def test_dimension_mismatch(self, rng):
         data = rng.standard_normal((80, 2))
@@ -290,20 +302,23 @@ class TestScore:
 
     @settings(max_examples=300, deadline=None)
     @given(log_nu=st.floats(math.log(2.0 + 1e-4), math.log(1e15)),
-           n=st.sampled_from([1, 2, 3, 4]))
-    @example(log_nu=math.log(1999.0), n=3)  # either side of Stirling's series,
-    @example(log_nu=math.log(2001.0), n=3)  # which starts at nu = 2 _STIRLING_FROM
+           n=st.sampled_from([2, 4]))
+    @example(log_nu=math.log(2.0 + 1e-4), n=4)  # both ends of the range
+    @example(log_nu=math.log(1e15), n=4)
     def test_lgamma_gap_matches_mpmath(self, log_nu, n):
+        # the likelihood's constant: the sum of the shifts' logs
         nu = math.exp(log_nu)
         with mpmath.workdps(40):
             exact = float(mpmath.loggamma((mpmath.mpf(nu) + n) / 2)
                           - mpmath.loggamma(mpmath.mpf(nu) / 2))
-        assert abs(_lgamma_gap(nu, n) - exact) <= 1e-12 * max(1.0, abs(exact))
+        gap = np.sum(np.log(_nu_shifts(np.array([nu]), n)), axis=0)[0]
+        assert abs(gap - exact) <= 1e-14 * max(1.0, abs(exact))
 
     def test_odd_equation_count_rejected(self, rng):
         system = intercept_system(rng.standard_normal((80, 3)))
         coefficients, spec = np.zeros(3), random_spec(rng, 3)
-        assert np.isfinite(garch_t_loglik(coefficients, spec, system))
+        with pytest.raises(ValueError, match="even number of equations, got 3"):
+            garch_t_loglik(coefficients, spec, system)
         with pytest.raises(ValueError, match="even number of equations, got 3"):
             garch_t_score(unconstrain_params(coefficients, spec), system)
 
@@ -445,6 +460,12 @@ class TestFit:
         assert np.all(np.isfinite(fit.information))
         trace = fit.trace
         assert all(later >= earlier for earlier, later in zip(trace, trace[1:]))
+
+    def test_odd_equation_count_fit_rejected(self, rng):
+        # the parity error reaches the caller instead of an infinite objective
+        system = intercept_system(rng.standard_normal((200, 3)))
+        with pytest.raises(ValueError, match="even number of equations, got 3"):
+            fit_sure_garch_t(system)
 
     def test_small_sample_warning(self, rng, monkeypatch):
         monkeypatch.setattr(mgarch, "BFGS_MAX_ITER", 5)
