@@ -21,7 +21,7 @@ from .errors import (
     LikelihoodError,
     SingularityError,
 )
-from .optim import minimize_bfgs, newton_finish
+from .optim import minimize_bfgs
 from .sure import CoefficientEstimate, SureSystem, _lagged_design, fgls_fit
 from .wald import chisq_sf
 
@@ -41,14 +41,6 @@ class GarchSpec:
     beta: np.ndarray  # n GARCH loadings in [0, 1), alpha + beta < 1
     correlation: np.ndarray  # n x n constant conditional correlation
     nu: float  # t degrees of freedom, > 2
-
-    @classmethod
-    def _trusted(cls, omega, alpha, beta, correlation, nu) -> "GarchSpec":
-        """A spec that is valid by construction: float arrays, unchecked."""
-        spec = object.__new__(cls)
-        spec.__dict__.update(omega=omega, alpha=alpha, beta=beta, nu=float(nu),
-                             correlation=(correlation + correlation.T) / 2.0)
-        return spec
 
     def __post_init__(self):
         omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
@@ -178,13 +170,13 @@ def _constrained(theta: np.ndarray, k_mean: int, n: int):
     block, the variance parameters, and the sigmoid persistence and share."""
     mean, log_omega, persistence, share, lower, log_nu = _blocks(theta, k_mean, n)
     persistence, share = _sigmoid(persistence), _sigmoid(share)
-    chol = _unit_rows(lower, n)
+    with np.errstate(over="raise", invalid="raise"):  # FloatingPointError, not inf
+        chol = _unit_rows(lower, n)
+        omega = np.exp(log_omega)
+        nu = 2.0 + np.exp(log_nu[:, 0])
     corr = chol @ chol.swapaxes(1, 2)
     corr[:, range(n), range(n)] = 1.0
-    with np.errstate(over="raise"):
-        nu = 2.0 + np.exp(log_nu[:, 0])
-    params = _Params(np.exp(log_omega), persistence * share,
-                     persistence * (1.0 - share), corr, nu)
+    params = _Params(omega, persistence * share, persistence * (1.0 - share), corr, nu)
     return mean, params, persistence, share
 
 
@@ -193,10 +185,7 @@ def constrain_params(
 ) -> tuple[np.ndarray, GarchSpec]:
     """Map the unconstrained optimizer vector to (mean coefficients, GarchSpec)."""
     mean, params, _, _ = _constrained(np.asarray(theta, dtype=float)[None], k_mean, n)
-    # in the admissible region for every finite theta, up to rounding: a sigmoid
-    # at 1, which the fit's _LOGIT_LIMIT keeps away, or correlation coordinates
-    # so large that the correlation is singular, where the likelihood fails
-    return mean[0], GarchSpec._trusted(*(field[0] for field in params))
+    return mean[0], GarchSpec(*(field[0] for field in params))
 
 
 def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
@@ -221,6 +210,19 @@ def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # likelihood
 # ---------------------------------------------------------------------------
+
+
+def _residual_stack(mean: np.ndarray, system: SureSystem) -> np.ndarray:
+    """(T, P, n) residuals of a (P, k_mean) stack of mean coefficients: one
+    (T, k) @ (k, n) product per row, each coefficient's design column feeding
+    its own equation, so a row's residuals are the same in any stack."""
+    design = np.hstack(system.regressors)
+    onehot = system.equation_index[:, None] == np.arange(system.n_equations)
+    fitted = design @ (mean[:, :, None] * onehot)
+    resid = np.empty((system.effective_sample, len(mean), system.n_equations))
+    np.subtract(np.column_stack(system.regressands)[:, None, :],
+                fitted.transpose(1, 0, 2), out=resid)
+    return resid
 
 
 def _linear_recursion(rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -314,10 +316,10 @@ def garch_t_loglik(
     """
     if system.n_equations != spec.n:
         raise ValueError("GarchSpec dimension does not match the system")
-    resid = system.residuals(np.asarray(coefficients, dtype=float))
+    resid = _residual_stack(np.asarray(coefficients, dtype=float)[None], system)
     params = _Params(spec.omega[None], spec.alpha[None], spec.beta[None],
                      spec.correlation[None], np.array([spec.nu]))
-    return float(_forward(resid[:, None], params).value[0])
+    return float(_forward(resid, params).value[0])
 
 
 def _psi_gap(nu: np.ndarray, n: int) -> np.ndarray:
@@ -339,17 +341,12 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     """
     stack = np.asarray(theta, dtype=float)
     k_mean, n = system.n_coefficients, system.n_equations
-    mean, params, persistence, share = _constrained(np.atleast_2d(stack), k_mean, n)
-    t_eff, p = system.effective_sample, len(mean)
-    # each coefficient's column of the stacked design feeds its own equation;
-    # one (T, k) @ (k, n) product per row, so a row's score is the same in any stack
-    design = np.hstack(system.regressors)
-    onehot = system.equation_index[:, None] == np.arange(n)
-    fitted = design @ (mean[:, :, None] * onehot)
-    resid = np.empty((t_eff, p, n))
-    np.subtract(np.column_stack(system.regressands)[:, None, :],
-                fitted.transpose(1, 0, 2), out=resid)
-    del fitted
+    try:
+        mean, params, persistence, share = _constrained(np.atleast_2d(stack), k_mean, n)
+    except FloatingPointError as exc:
+        raise LikelihoodError(f"score evaluation failed: {exc}") from None
+    t_eff = system.effective_sample
+    resid = _residual_stack(mean, system)
     _, sq, s2, h, z, chol, half, quad = _forward(resid, params)
     nu = params.nu[:, None]
     # (T, P, n) arrays stay C-ordered, so each recursion step is one contiguous
@@ -387,7 +384,7 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
             resid_bar += resid
             del resid, lam
             # each coefficient against its own equation's column of resid_bar
-            mean_bar = design.T @ resid_bar.transpose(1, 0, 2)
+            mean_bar = np.hstack(system.regressors).T @ resid_bar.transpose(1, 0, 2)
             mean_bar = -mean_bar[:, np.arange(k_mean), system.equation_index]
             chol_bar = 2.0 * corr_bar @ chol
             chol_bar -= np.sum(chol_bar * chol, axis=2)[:, :, None] * chol
@@ -417,13 +414,15 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
 
 
 def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
-    """The fit's objective; +inf where the likelihood fails, and where a
-    persistence or share logit passes _LOGIT_LIMIT."""
+    """The fit's objective, -garch_t_loglik at constrain_params(theta) on the
+    score's forward pass; +inf where the likelihood or a transform fails, and
+    where a persistence or share logit passes _LOGIT_LIMIT."""
     k_mean, n = system.n_coefficients, system.n_equations
     if np.max(np.abs(theta[k_mean + n : k_mean + 3 * n])) > _LOGIT_LIMIT:
         return np.inf
     try:
-        return -garch_t_loglik(*constrain_params(theta, k_mean, n), system)
+        mean, params, _, _ = _constrained(theta[None], k_mean, n)
+        return -float(_forward(_residual_stack(mean, system), params).value[0])
     except (LikelihoodError, ArithmeticError):
         return np.inf
 
@@ -451,11 +450,11 @@ def fit_sure_garch_t(
     """Maximize the GARCH-t likelihood over transformed parameters.
 
     Mean coefficients start from FGLS (or the supplied estimate); variance
-    parameters start from moment-based values.  At most BFGS_MAX_ITER BFGS
-    iterations on the analytic score, its inverse Hessian seeded from the
-    observed information at the start, then Newton steps on the observed
-    information: central differences of the score.  The objective is +inf
-    once a persistence or share logit passes +-_LOGIT_LIMIT, so the fit
+    parameters start from moment-based values.  One `minimize_bfgs` call,
+    at most BFGS_MAX_ITER BFGS iterations and then Newton steps, returns the
+    observed information as its Hessian: central differences of the score.
+    The objective runs the score's forward pass on a one-row stack and is
+    +inf once a persistence or share logit passes +-_LOGIT_LIMIT, so the fit
     stops short of a boundary (alpha or beta = 0, alpha + beta = 1) instead
     of saturating the map.  The correlation is C C' with C's rows those of a
     unit-lower-triangular matrix scaled to unit length, so its coordinates
@@ -481,10 +480,9 @@ def fit_sure_garch_t(
         return -garch_t_score(theta, system)
 
     result = minimize_bfgs(objective, gradient, theta0, max_iter=BFGS_MAX_ITER)
-    result, information = newton_finish(objective, gradient, result)
     mean_hat, spec_hat = constrain_params(result.x, k_mean, n)
     try:
-        info_inv = np.linalg.inv(information)
+        info_inv = np.linalg.inv(result.hessian)
     except np.linalg.LinAlgError:
         raise SingularityError(
             "observed information matrix is not invertible"
@@ -503,7 +501,7 @@ def fit_sure_garch_t(
         mean=mean_estimate,
         garch=spec_hat,
         loglik=-result.fun,
-        information=information,
+        information=result.hessian,
         gradient_max=float(np.max(np.abs(result.gradient))),
         stop=result.message,
         n_evals=result.n_evals,

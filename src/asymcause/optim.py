@@ -1,16 +1,15 @@
 """Quasi-Newton minimizer on a caller-supplied gradient, with a Newton finish.
 
-BFGS on the inverse Hessian with Armijo backtracking, started from the
-inverse of the Hessian at x0.  The caller supplies the objective and its
-exact gradient, which maps a (P, k) stack of points to their (P, k)
-gradients.  The minimizers call it on one row at each iterate and on all 2k
+`minimize_bfgs` runs BFGS with Armijo backtracking, started from the inverse
+of the Hessian at x0, then Newton steps.  The caller supplies the objective
+and its exact gradient, which maps a (P, k) stack of points to their (P, k)
+gradients.  The minimizer calls it on one row at each iterate and on all 2k
 probes of a Hessian at once: Hessians are central differences of that
-gradient, and `newton_finish` polishes the BFGS point with Newton steps on
-them.  The objective may return +inf outside its valid region; backtracking
-retreats from such points.
+gradient.  The objective may return +inf outside its valid region;
+backtracking retreats from such points.
 
 `central_gradient` and `central_hessian` difference the objective alone.
-The minimizers do not use them; they are the oracles that tests check
+The minimizer does not use them; they are the oracles that tests check
 analytic gradients and Hessians against.
 """
 
@@ -25,7 +24,7 @@ GTOL = 1e-5  # converged when max |gradient component| falls below this
 FTOL_REL = 1e-10  # also stop when one step changes f by less than this * max(1, |f|)
 GRADIENT_STEP = 1e-5  # central-difference steps are these * max(1, |x_i|)
 HESSIAN_STEP = 1e-4
-NEWTON_STEPS = 5  # most Newton steps that newton_finish takes
+NEWTON_STEPS = 5  # most steps of minimize_bfgs's Newton phase
 
 Objective = Callable[[np.ndarray], float]
 Gradient = Callable[[np.ndarray], np.ndarray]  # (P, k) points to (P, k) gradients
@@ -36,6 +35,7 @@ class OptimResult:
     x: np.ndarray
     fun: float
     gradient: np.ndarray
+    hessian: np.ndarray  # gradient_jacobian(grad, x) at the returned x
     iterations: int
     converged: bool
     message: str
@@ -131,19 +131,22 @@ def _inverse_curvature(grad: Gradient, x: np.ndarray) -> np.ndarray:
 def minimize_bfgs(
     fun: Objective, grad: Gradient, x0: np.ndarray, max_iter: int = 500
 ) -> OptimResult:
-    """Minimize fun, whose gradient is grad, from x0.
+    """Minimize fun, whose gradient is grad, from x0: BFGS, then Newton.
 
-    The inverse Hessian starts as the inverse curvature at x0 (see
-    `_inverse_curvature`), not as the identity, so an ill-conditioned
-    problem needs no iterations to learn its scales.  Stops on small
-    gradient or small relative change.  grad is called on one row at
-    accepted iterates, where fun is finite, and on the (2k, k) probe stack of
-    `gradient_jacobian` around x0 (and around any iterate where the search
-    direction stops descending).  The line search is plain backtracking on
-    the Armijo condition, so the objective decreases strictly at every
-    accepted iterate.  Whatever stops the loop (message says what), the
-    result is converged only when max |gradient| at the returned point is
-    below GTOL.
+    BFGS: at most max_iter iterations from the inverse curvature at x0 (see
+    `_inverse_curvature`), not the identity, so an ill-conditioned problem
+    needs no iterations to learn its scales; it stops on small gradient,
+    small relative change or a failed line search.  Newton: at most
+    NEWTON_STEPS steps while max |gradient| is at least GTOL and the Hessian
+    `gradient_jacobian(grad, x)` is positive definite; message names the
+    rule that ended them, and hessian is that Hessian at the returned point.
+
+    grad is called on one row at accepted iterates, where fun is finite, and
+    on the (2k, k) probe stack of `gradient_jacobian` at x0, at each Newton
+    phase iterate and at any BFGS iterate where the search direction stops
+    descending.  Both phases backtrack on the Armijo condition, so fun
+    decreases strictly at every accepted iterate, and both count as
+    iterations.  converged means max |gradient| < GTOL at the returned point.
     """
     x = np.asarray(x0, dtype=float).copy()
     k = x.size
@@ -157,13 +160,9 @@ def minimize_bfgs(
     g = grad(x[None])[0]
     h_inv = _inverse_curvature(grad, x)
     trace = [f_x]
-    message = "maximum iterations reached"
     iteration = 0
 
-    while iteration < max_iter:
-        if np.max(np.abs(g)) < GTOL:
-            message = "gradient norm below tolerance"
-            break
+    while iteration < max_iter and np.max(np.abs(g)) >= GTOL:
         iteration += 1
         direction = -h_inv @ g
         slope = float(direction @ g)
@@ -173,7 +172,6 @@ def minimize_bfgs(
             slope = float(direction @ g)
         accepted = _armijo(f, x, f_x, direction, slope)
         if accepted is None:
-            message = "line search failed to make progress"
             break
         x_new, f_new = accepted
         g_new = grad(x_new[None])[0]
@@ -191,37 +189,8 @@ def minimize_bfgs(
         x, f_x, g = x_new, f_new, g_new
         trace.append(f_x)
         if f_change < FTOL_REL * max(1.0, abs(f_x)):
-            message = "relative objective change below tolerance"
             break
 
-    return OptimResult(
-        x=x,
-        fun=f_x,
-        gradient=g,
-        iterations=iteration,
-        converged=bool(np.max(np.abs(g)) < GTOL),
-        message=message,
-        f_trace=tuple(trace),
-        n_evals=evals[0],
-        n_gradients=rows[0],
-    )
-
-
-def newton_finish(
-    fun: Objective, grad: Gradient, start: OptimResult
-) -> tuple[OptimResult, np.ndarray]:
-    """Newton steps from a minimizer's result, and the Hessian where they end.
-
-    The Hessian is `gradient_jacobian(grad, x)`.  While max |gradient| is at
-    least GTOL and the Hessian is positive definite, take an Armijo-guarded
-    Newton step, at most NEWTON_STEPS of them.  Accepted steps extend the
-    iteration count and the trace; message names the rule that stopped.
-    """
-    evals, rows = [0], [0]
-    f = _counted(fun, evals)
-    grad = _counted_rows(grad, rows)
-    x, f_x, g = start.x, start.fun, start.gradient
-    trace = list(start.f_trace)
     steps = 0
     while True:
         hessian = gradient_jacobian(grad, x)
@@ -245,15 +214,16 @@ def newton_finish(
         g = grad(x[None])[0]
         trace.append(f_x)
         steps += 1
-    result = OptimResult(
+
+    return OptimResult(
         x=x,
         fun=f_x,
         gradient=g,
-        iterations=start.iterations + steps,
+        hessian=hessian,
+        iterations=iteration + steps,
         converged=bool(np.max(np.abs(g)) < GTOL),
         message=message,
         f_trace=tuple(trace),
-        n_evals=start.n_evals + evals[0],
-        n_gradients=start.n_gradients + rows[0],
+        n_evals=evals[0],
+        n_gradients=rows[0],
     )
-    return result, hessian

@@ -72,7 +72,7 @@ def garch_pair_fit(garch_pair):
 
 def reference_loglik(coefficients, spec, system):
     """The log-likelihood as first written, with the recursion on numpy rows."""
-    resid = system.residuals(coefficients)
+    resid = mgarch._residual_stack(coefficients[None], system)[:, 0]
     n = spec.n
     s2 = np.mean(resid**2, axis=0)
     h = np.empty(resid.shape)
@@ -140,17 +140,6 @@ class TestParameterTransforms:
             assert np.min(np.linalg.eigvalsh(spec.correlation)) > 0
             assert spec.nu > 2
 
-    def test_constrained_spec_equals_the_validated_spec(self, rng):
-        # constrain_params skips GarchSpec's checks; building the same spec
-        # through them must give the same values
-        for _ in range(20):
-            theta = rng.standard_normal(3 + 3 * 4 + 6 + 1) * 3.0
-            _, spec = constrain_params(theta, 3, 4)
-            checked = GarchSpec(omega=spec.omega, alpha=spec.alpha, beta=spec.beta,
-                                correlation=spec.correlation, nu=spec.nu)
-            for name in ("omega", "alpha", "beta", "correlation", "nu"):
-                np.testing.assert_array_equal(getattr(spec, name), getattr(checked, name))
-
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="entries"):
             constrain_params(np.zeros(5), 3, 2)
@@ -207,17 +196,37 @@ class TestLoglik:
             garch_t_loglik(np.zeros(2), spec, system)
 
     def test_nu_edges_raise_likelihood_error(self, rng):
-        # log(nu - 2) = -40 or -800 rounds nu to exactly 2; at +709, pi (nu - 2)
-        # overflows
+        # log(nu - 2) = -40 or -800 rounds nu to exactly 2, which GarchSpec
+        # refuses; at +709, pi (nu - 2) overflows
         system = intercept_system(rng.standard_normal((80, 2)))
         theta = unconstrain_params(np.zeros(2), random_spec(rng, 2))
         for log_excess in (-40.0, -800.0, 709.0):
             theta[-1] = log_excess
-            with pytest.raises(LikelihoodError):
-                garch_t_loglik(*constrain_params(theta, 2, 2), system)
+            if log_excess < 0:
+                with pytest.raises(ValueError, match="nu must exceed 2"):
+                    constrain_params(theta, 2, 2)
+            else:
+                with pytest.raises(LikelihoodError):
+                    garch_t_loglik(*constrain_params(theta, 2, 2), system)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert _negative_loglik(theta, system) == np.inf
+
+    def test_transform_overflow_is_a_likelihood_failure(self, garch_pair):
+        # exp(710) and the square of a correlation coordinate past 1e154
+        # overflow inside the transforms, before any likelihood arithmetic
+        start = fgls_fit(garch_pair)
+        theta0 = unconstrain_params(start.coefficients, _initial_spec(start.residuals))
+        k_mean, n = garch_pair.n_coefficients, garch_pair.n_equations
+        for index, value in ((k_mean, 710.0), (theta0.size - 1, 710.0),
+                             (k_mean + 3 * n, 1e160), (k_mean + 3 * n, 1e300)):
+            theta = theta0.copy()
+            theta[index] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _negative_loglik(theta, garch_pair) == np.inf
+                with pytest.raises(LikelihoodError, match="score evaluation failed"):
+                    garch_t_score(theta, garch_pair)
 
     def test_dimension_mismatch(self, rng):
         data = rng.standard_normal((80, 2))
@@ -321,6 +330,19 @@ class TestScore:
             garch_t_loglik(coefficients, spec, system)
         with pytest.raises(ValueError, match="even number of equations, got 3"):
             garch_t_score(unconstrain_params(coefficients, spec), system)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
+    def test_objective_is_the_loglik_bit_for_bit(self, garch_pair, seed, spread):
+        # the fit's objective and garch_t_loglik at constrain_params share one
+        # residual product and one forward pass
+        start = fgls_fit(garch_pair)
+        theta = unconstrain_params(start.coefficients, _initial_spec(start.residuals))
+        theta += spread * np.random.default_rng(seed).standard_normal(theta.size)
+        value = _negative_loglik(theta, garch_pair)
+        if np.isfinite(value):
+            k_mean, n = garch_pair.n_coefficients, garch_pair.n_equations
+            assert -value == garch_t_loglik(*constrain_params(theta, k_mean, n), garch_pair)
 
     def test_loglik_matches_the_row_recursion_bit_for_bit(self, garch_pair):
         start = fgls_fit(garch_pair)

@@ -9,7 +9,6 @@ from asymcause.optim import (
     central_hessian,
     gradient_jacobian,
     minimize_bfgs,
-    newton_finish,
 )
 from asymcause import optim
 
@@ -83,10 +82,12 @@ class TestDerivatives:
             rows.append(len(z))
             return rosenbrock_gradient(z)
 
-        start = minimize_bfgs(rosenbrock, grad, np.array([1.1, 1.2]), max_iter=2)
-        assert start.n_gradients == sum(rows) == 1 + 2 * 2 + start.iterations
-        result, _ = newton_finish(rosenbrock, grad, start)
-        assert rows.count(4) == 1 + (len(result.f_trace) - len(start.f_trace)) + 1
+        result = minimize_bfgs(rosenbrock, grad, np.array([1.1, 1.2]), max_iter=2)
+        # the curvature at x0, then one Hessian where BFGS ends and one after
+        # each Newton step; one row at x0 and at every accepted iterate
+        newton_steps = result.iterations - 2
+        assert rows.count(4) == 1 + 1 + newton_steps
+        assert rows.count(1) == 1 + result.iterations
         assert result.n_gradients == sum(rows)
 
 
@@ -122,7 +123,8 @@ class TestBfgs:
         with pytest.raises(ValueError, match="starting point"):
             bfgs(lambda x: np.inf, np.zeros(2))
 
-    def test_iteration_budget_respected(self):
+    def test_iteration_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(optim, "NEWTON_STEPS", 0)  # max_iter budgets BFGS alone
         result = bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=3)
         assert result.iterations <= 3
         assert not result.converged
@@ -145,20 +147,41 @@ class TestBfgs:
         assert result.converged
         np.testing.assert_allclose(result.x, 0.0, atol=1e-5)
 
-    def test_small_change_with_large_gradient_is_not_converged(self):
+    def test_small_change_with_large_gradient_is_not_converged(self, monkeypatch):
         # near f = 1e9 FTOL_REL stops on a step that gains 3e-5, far from x = 0
+        monkeypatch.setattr(optim, "NEWTON_STEPS", 0)
         result = bfgs(lambda x: 1e9 + 50.0 * x[0] ** 2, np.array([1e-3]))
-        assert result.message == "relative objective change below tolerance"
+        *_, before, after = result.f_trace
+        assert result.iterations < 500  # not the iteration budget, but FTOL_REL
+        assert before - after < optim.FTOL_REL * after
+        assert result.message == "Newton step limit reached"
         assert np.max(np.abs(result.gradient)) > GTOL
         assert not result.converged
 
+    def test_newton_phase_finishes_a_small_change_stop(self, monkeypatch):
+        def fun(x):
+            return 1e9 + 50.0 * x[0] ** 2
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optim, "NEWTON_STEPS", 0)
+            stopped = bfgs(fun, np.array([1e-3]))
+        result = bfgs(fun, np.array([1e-3]))
+        assert result.f_trace[: len(stopped.f_trace)] == stopped.f_trace
+        assert result.iterations > stopped.iterations
+        assert result.converged
+        assert result.message == "gradient norm below tolerance"
+        np.testing.assert_allclose(result.x, 0.0, atol=1e-6)
+
 
 class TestNewtonFinish:
-    def test_polishes_a_loose_bfgs_point(self):
-        loose = minimize_bfgs(rosenbrock, rosenbrock_gradient, np.array([1.1, 1.2]),
-                              max_iter=2)
+    def test_polishes_a_loose_bfgs_point(self, monkeypatch):
+        x0 = np.array([1.1, 1.2])
+        with monkeypatch.context() as patch:
+            patch.setattr(optim, "NEWTON_STEPS", 0)  # the BFGS phase alone
+            loose = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0, max_iter=2)
         assert not loose.converged
-        result, hessian = newton_finish(rosenbrock, rosenbrock_gradient, loose)
+        result = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0, max_iter=2)
+        hessian = result.hessian
         assert result.converged
         assert result.message == "gradient norm below tolerance"
         assert result.iterations == 2 + len(result.f_trace) - len(loose.f_trace)
@@ -175,18 +198,17 @@ class TestNewtonFinish:
         def saddle_gradient(x):
             return x * np.array([2.0, -2.0])
 
-        start = minimize_bfgs(saddle, saddle_gradient, np.array([1.0, 1.0]), max_iter=0)
-        result, hessian = newton_finish(saddle, saddle_gradient, start)
+        x0 = np.array([1.0, 1.0])
+        result = minimize_bfgs(saddle, saddle_gradient, x0, max_iter=0)
         assert result.message == "Hessian is not positive definite"
         assert not result.converged
-        np.testing.assert_array_equal(result.x, start.x)
-        np.testing.assert_allclose(hessian, np.diag([2.0, -2.0]), atol=1e-9)
+        np.testing.assert_array_equal(result.x, x0)
+        np.testing.assert_allclose(result.hessian, np.diag([2.0, -2.0]), atol=1e-9)
 
     def test_step_limit(self, monkeypatch):
         monkeypatch.setattr(optim, "NEWTON_STEPS", 1)
-        start = minimize_bfgs(rosenbrock, rosenbrock_gradient, np.array([-1.2, 1.0]),
-                              max_iter=0)
-        result, _ = newton_finish(rosenbrock, rosenbrock_gradient, start)
+        x0 = np.array([-1.2, 1.0])
+        result = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0, max_iter=0)
         assert result.message == "Newton step limit reached"
         assert result.iterations == 1
-        assert result.fun < start.fun
+        assert result.fun < rosenbrock(x0)
