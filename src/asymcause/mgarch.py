@@ -29,7 +29,6 @@ _INTERIOR = 1e-12  # probabilities are clipped into the open unit interval
 # The fit refuses persistence and share logits beyond this: sigmoid(30) = 1 - 9.4e-14
 # keeps every transform's slope nonzero, while from ~36.7 on the sigmoid rounds to 1.
 _LOGIT_LIMIT = 30.0
-BFGS_MAX_ITER = 500  # most BFGS iterations of a GARCH-t fit
 
 
 @dataclass(frozen=True)
@@ -216,12 +215,15 @@ def _residual_stack(mean: np.ndarray, system: SureSystem) -> np.ndarray:
     """(T, P, n) residuals of a (P, k_mean) stack of mean coefficients: one
     (T, k) @ (k, n) product per row, each coefficient's design column feeding
     its own equation, so a row's residuals are the same in any stack."""
-    design = np.hstack(system.regressors)
-    onehot = system.equation_index[:, None] == np.arange(system.n_equations)
-    fitted = design @ (mean[:, :, None] * onehot)
+    weights = np.zeros((*mean.shape, system.n_equations))
+    weights[:, np.arange(mean.shape[1]), system.equation_index] = mean
     resid = np.empty((system.effective_sample, len(mean), system.n_equations))
-    np.subtract(np.column_stack(system.regressands)[:, None, :],
-                fitted.transpose(1, 0, 2), out=resid)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            fitted = system.design @ weights
+            np.subtract(system.targets.T[:, None, :], fitted.transpose(1, 0, 2), out=resid)
+        except FloatingPointError as exc:
+            raise LikelihoodError(f"residual evaluation failed: {exc}") from None
     return resid
 
 
@@ -384,7 +386,7 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
             resid_bar += resid
             del resid, lam
             # each coefficient against its own equation's column of resid_bar
-            mean_bar = np.hstack(system.regressors).T @ resid_bar.transpose(1, 0, 2)
+            mean_bar = system.design.T @ resid_bar.transpose(1, 0, 2)
             mean_bar = -mean_bar[:, np.arange(k_mean), system.equation_index]
             chol_bar = 2.0 * corr_bar @ chol
             chol_bar -= np.sum(chol_bar * chol, axis=2)[:, :, None] * chol
@@ -451,8 +453,8 @@ def fit_sure_garch_t(
 
     Mean coefficients start from FGLS (or the supplied estimate); variance
     parameters start from moment-based values.  One `minimize_bfgs` call,
-    at most BFGS_MAX_ITER BFGS iterations and then Newton steps, returns the
-    observed information as its Hessian: central differences of the score.
+    at most optim.BFGS_MAX_ITER BFGS iterations then Newton steps, returns
+    the observed information as its Hessian: central differences of the score.
     The objective runs the score's forward pass on a one-row stack and is
     +inf once a persistence or share logit passes +-_LOGIT_LIMIT, so the fit
     stops short of a boundary (alpha or beta = 0, alpha + beta = 1) instead
@@ -479,7 +481,7 @@ def fit_sure_garch_t(
     def gradient(theta: np.ndarray) -> np.ndarray:
         return -garch_t_score(theta, system)
 
-    result = minimize_bfgs(objective, gradient, theta0, max_iter=BFGS_MAX_ITER)
+    result = minimize_bfgs(objective, gradient, theta0)
     mean_hat, spec_hat = constrain_params(result.x, k_mean, n)
     try:
         info_inv = np.linalg.inv(result.hessian)

@@ -24,6 +24,7 @@ GTOL = 1e-5  # converged when max |gradient component| falls below this
 FTOL_REL = 1e-10  # also stop when one step changes f by less than this * max(1, |f|)
 GRADIENT_STEP = 1e-5  # central-difference steps are these * max(1, |x_i|)
 HESSIAN_STEP = 1e-4
+BFGS_MAX_ITER = 500  # most iterations of minimize_bfgs's BFGS phase
 NEWTON_STEPS = 5  # most steps of minimize_bfgs's Newton phase
 
 Objective = Callable[[np.ndarray], float]
@@ -128,15 +129,13 @@ def _inverse_curvature(grad: Gradient, x: np.ndarray) -> np.ndarray:
     return (vectors / magnitudes) @ vectors.T
 
 
-def minimize_bfgs(
-    fun: Objective, grad: Gradient, x0: np.ndarray, max_iter: int = 500
-) -> OptimResult:
+def minimize_bfgs(fun: Objective, grad: Gradient, x0: np.ndarray) -> OptimResult:
     """Minimize fun, whose gradient is grad, from x0: BFGS, then Newton.
 
-    BFGS: at most max_iter iterations from the inverse curvature at x0 (see
-    `_inverse_curvature`), not the identity, so an ill-conditioned problem
-    needs no iterations to learn its scales; it stops on small gradient,
-    small relative change or a failed line search.  Newton: at most
+    BFGS: at most BFGS_MAX_ITER iterations from the inverse curvature at x0
+    (see `_inverse_curvature`), not the identity, so an ill-conditioned
+    problem needs no iterations to learn its scales; it stops on small
+    gradient, small relative change or a failed line search.  Newton: at most
     NEWTON_STEPS steps while max |gradient| is at least GTOL and the Hessian
     `gradient_jacobian(grad, x)` is positive definite; message names the
     rule that ended them, and hessian is that Hessian at the returned point.
@@ -162,7 +161,7 @@ def minimize_bfgs(
     trace = [f_x]
     iteration = 0
 
-    while iteration < max_iter and np.max(np.abs(g)) >= GTOL:
+    while iteration < BFGS_MAX_ITER and np.max(np.abs(g)) >= GTOL:
         iteration += 1
         direction = -h_inv @ g
         slope = float(direction @ g)

@@ -10,7 +10,6 @@ feasible GLS exploiting the cross-equation error covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -45,16 +44,17 @@ class LayoutEntry:
 
 @dataclass(frozen=True)
 class SureSystem:
-    """Stacked block design: regressand and design matrix per equation.
+    """Stacked block system: (n, T) ``targets`` (row i: equation i's regressand)
+    and (T, k) ``design`` (column j: coefficient j's regressor).
 
-    Also holds the per-block cross-products, formed once at construction:
-    block (i, j) of the k x k ``gram`` is X_i'X_j and of the k x n ``xty``
-    is X_i'y_j.  ``slices`` and ``equation_index`` map the stacked
-    coefficients to their equations.  Every equation has the same rows.
+    Equation i is the i-th run of equal (eq_var, eq_sign) in the layout, and
+    ``slices`` and ``equation_index`` map the coefficients to those runs.
+    With X_i = design[:, slices[i]], block (i, j) of the k x k ``gram`` is
+    X_i'X_j and of the k x n ``xty`` is X_i'y_j, formed once at construction.
     """
 
-    regressands: tuple[np.ndarray, ...]
-    regressors: tuple[np.ndarray, ...]
+    targets: np.ndarray
+    design: np.ndarray
     layout: tuple[LayoutEntry, ...]
     variable_names: tuple[str, ...] = ()
     slices: tuple[slice, ...] = field(init=False, compare=False, repr=False)
@@ -63,38 +63,43 @@ class SureSystem:
     xty: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ys = tuple(np.asarray(y, dtype=float) for y in self.regressands)
-        xs = tuple(np.asarray(x, dtype=float) for x in self.regressors)
-        if len(ys) != len(xs):
-            raise ValueError("regressands and regressors count mismatch")
-        for i, (y, x) in enumerate(zip(ys, xs)):
-            if y.shape != (len(ys[0]),):
-                raise ValueError(f"equation {i}: regressand is not a vector of "
-                                 f"{len(ys[0])} rows like equation 0's")
-            if x.shape[0] != len(y):
-                raise ValueError(f"equation {i}: design rows != regressand rows")
-        widths = [x.shape[1] for x in xs]
-        if sum(widths) != len(self.layout):
-            raise ValueError("layout size does not match total coefficient count")
-        bounds = [0, *accumulate(widths)]
-        object.__setattr__(self, "regressands", ys)
-        object.__setattr__(self, "regressors", xs)
+        # C-ordered, so each regressand is a contiguous row: as strided columns
+        # of a (T, n) array, X_i'y_j rounds differently and moves the estimates
+        targets = np.ascontiguousarray(self.targets, dtype=float)
+        design = np.ascontiguousarray(self.design, dtype=float)
+        keys = [(e.eq_var, e.eq_sign) for e in self.layout]
+        starts = [j for j, key in enumerate(keys) if j == 0 or key != keys[j - 1]]
+        if design.shape != (targets.shape[-1], len(keys)):
+            raise ValueError(f"design has shape {design.shape}, not (T, k) = "
+                             f"{(targets.shape[-1], len(keys))} of the targets and layout")
+        if len(set(keys)) != len(starts):
+            raise ValueError("an equation's layout entries are split into more than one run")
+        if targets.shape != (len(starts), len(design)):
+            raise ValueError(f"targets have shape {targets.shape}, not (n, T) = "
+                             f"{(len(starts), len(design))} of the layout and design")
+        bounds = [*starts, len(keys)]
+        slices = tuple(map(slice, bounds, bounds[1:]))
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "design", design)
         object.__setattr__(self, "layout", tuple(self.layout))
-        object.__setattr__(self, "slices", tuple(map(slice, bounds, bounds[1:])))
-        object.__setattr__(self, "equation_index", np.repeat(np.arange(len(xs)), widths))
-        # formed block by block: on ill-conditioned systems a single product
-        # of the stacked design rounds differently and moves the estimates
+        object.__setattr__(self, "slices", slices)
+        index = np.repeat(np.arange(len(starts)), np.diff(bounds))
+        object.__setattr__(self, "equation_index", index)
+        # block by block, each on a contiguous copy of its columns: on the stacked
+        # design, or on a column view (X_i'y_j for X_i up to 3 columns wide,
+        # X_i'X_j for 1 wide), a product rounds differently and moves the estimates
+        xs = [np.ascontiguousarray(design[:, sl]) for sl in slices]
         object.__setattr__(self, "gram", np.block([[a.T @ b for b in xs] for a in xs]))
-        xty = np.vstack([np.column_stack([x.T @ y for y in ys]) for x in xs])
+        xty = np.vstack([np.column_stack([x.T @ y for y in targets]) for x in xs])
         object.__setattr__(self, "xty", xty)
 
     @property
     def effective_sample(self) -> int:
-        return len(self.regressands[0])
+        return self.targets.shape[1]
 
     @property
     def n_equations(self) -> int:
-        return len(self.regressands)
+        return self.targets.shape[0]
 
     @property
     def n_coefficients(self) -> int:
@@ -102,12 +107,10 @@ class SureSystem:
 
     def residuals(self, coefficients: np.ndarray) -> np.ndarray:
         """(T, n) residuals of every equation at a stacked coefficient vector."""
-        return np.column_stack(
-            [
-                y - x @ coefficients[sl]
-                for y, x, sl in zip(self.regressands, self.regressors, self.slices)
-            ]
-        )
+        # one product per equation: a single (T, k) @ (k, n) product of the
+        # whole design rounds differently and moves the FGLS estimates
+        return np.column_stack([y - self.design[:, sl] @ coefficients[sl]
+                                for y, sl in zip(self.targets, self.slices)])
 
 
 @dataclass(frozen=True)
@@ -177,9 +180,7 @@ def build_design(
     t_eff = n_obs - start
     names = (first.name or "var1", second.name or "var2")
 
-    regressands: list[np.ndarray] = []
-    regressors: list[np.ndarray] = []
-    layout: list[LayoutEntry] = []
+    targets, blocks, layout = [], [], []
     for sign, depth, order in (("+", p_pos + extra_lags, p_pos),
                                ("-", p_neg + extra_lags, p_neg)):
         k_eq = 1 + 2 * depth
@@ -191,10 +192,8 @@ def build_design(
         data = [c.positive if sign == "+" else c.negative for c in (first, second)]
         design = _lagged_design(np.column_stack(data), start, depth)
         for eq_var, symbol in ((1, "beta"), (2, "gamma")):
-            regressands.append(data[eq_var - 1][start:])
-            # one array per equation: when two equations share one, numpy
-            # forms X_i'X_j by syrk instead of gemm, which rounds differently
-            regressors.append(design.copy())
+            targets.append(data[eq_var - 1][start:])
+            blocks.append(design)
             layout.append(
                 LayoutEntry(f"lambda{sign}_{eq_var}", eq_var, sign, None, False)
             )
@@ -205,8 +204,8 @@ def build_design(
             )
 
     return SureSystem(
-        regressands=tuple(regressands),
-        regressors=tuple(regressors),
+        targets=np.stack(targets),
+        design=np.hstack(blocks),
         layout=tuple(layout),
         variable_names=names,
     )
@@ -285,7 +284,7 @@ def _dependent_column(x: np.ndarray) -> int:
 
 def ols_fit(system: SureSystem) -> CoefficientEstimate:
     """Equation-by-equation least squares; consistent but not efficient."""
-    coefs, gram_invs = [], []
+    coefs, gram_inv = [], np.zeros_like(system.gram)
     for i, sl in enumerate(system.slices):
         gram = system.gram[sl, sl]
         try:
@@ -293,7 +292,7 @@ def ols_fit(system: SureSystem) -> CoefficientEstimate:
         except np.linalg.LinAlgError:
             entry, names = system.layout[sl.start], system.variable_names
             name = f" ({names[entry.eq_var - 1]})" if entry.eq_var <= len(names) else ""
-            column = system.layout[sl.start + _dependent_column(system.regressors[i])]
+            column = system.layout[sl.start + _dependent_column(system.design[:, sl])]
             if column.reg_var is None:
                 regressor = "the intercept"
             elif column.reg_var <= len(names):
@@ -306,13 +305,11 @@ def ols_fit(system: SureSystem) -> CoefficientEstimate:
             ) from None
         coefs.append(np.linalg.solve(gram, system.xty[sl, i]))
         inv_chol = np.linalg.solve(chol, np.eye(chol.shape[0]))
-        gram_invs.append(inv_chol.T @ inv_chol)
+        gram_inv[sl, sl] = inv_chol.T @ inv_chol
     coefficients = np.concatenate(coefs)
     u = system.residuals(coefficients)
     omega = u.T @ u / system.effective_sample
-    covariance = np.zeros((coefficients.size, coefficients.size))
-    for i, sl in enumerate(system.slices):
-        covariance[sl, sl] = omega[i, i] * gram_invs[i]
+    covariance = np.diag(omega)[system.equation_index, None] * gram_inv
     return CoefficientEstimate(
         coefficients=coefficients,
         covariance=covariance,

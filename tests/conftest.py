@@ -11,24 +11,17 @@ from asymcause.sure import LayoutEntry, SureSystem, build_design
 def intercept_system(data: np.ndarray) -> SureSystem:
     """Intercept-only mean system; one equation per column of data."""
     t_obs, n = data.shape
-    regressands, regressors, layout = [], [], []
-    for i in range(n):
-        regressands.append(data[:, i])
-        regressors.append(np.ones((t_obs, 1)))
-        layout.append(
-            LayoutEntry(
-                name=f"lambda+_{i + 1}",
-                eq_var=i + 1,
-                eq_sign="+",
-                reg_var=None,
-                restricted=False,
-            )
+    layout = tuple(
+        LayoutEntry(
+            name=f"lambda+_{i + 1}",
+            eq_var=i + 1,
+            eq_sign="+",
+            reg_var=None,
+            restricted=False,
         )
-    return SureSystem(
-        regressands=tuple(regressands),
-        regressors=tuple(regressors),
-        layout=tuple(layout),
+        for i in range(n)
     )
+    return SureSystem(targets=data.T, design=np.ones((t_obs, n)), layout=layout)
 
 
 def exog_two_equation_system(rng: np.random.Generator, t_obs: int = 100,
@@ -51,7 +44,8 @@ def exog_two_equation_system(rng: np.random.Generator, t_obs: int = 100,
         LayoutEntry("lambda+_2", 2, "+", None, False),
         LayoutEntry("gamma+_1,1", 2, "+", 1, True),
     )
-    system = SureSystem(regressands=(y1, y2), regressors=(x1, x2), layout=layout)
+    system = SureSystem(targets=np.stack([y1, y2]), design=np.hstack([x1, x2]),
+                        layout=layout)
     return system, np.concatenate([b1, b2])
 
 
@@ -72,7 +66,7 @@ def identical_regressor_system(rng: np.random.Generator, t_obs: int = 80):
         LayoutEntry("gamma+_1,1", 2, "+", 1, True),
         LayoutEntry("gamma+_2,1", 2, "+", 2, True),
     )
-    return SureSystem(regressands=(y1, y2), regressors=(x, x), layout=layout)
+    return SureSystem(targets=np.stack([y1, y2]), design=np.hstack([x, x]), layout=layout)
 
 
 def garch_pair_levels() -> np.ndarray:

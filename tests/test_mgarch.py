@@ -228,6 +228,20 @@ class TestLoglik:
                 with pytest.raises(LikelihoodError, match="score evaluation failed"):
                     garch_t_score(theta, garch_pair)
 
+    def test_mean_overflow_is_a_likelihood_failure(self, garch_pair):
+        # a lag coefficient of 1e308 overflows the residual product itself
+        start = fgls_fit(garch_pair)
+        theta = unconstrain_params(start.coefficients, _initial_spec(start.residuals))
+        theta[1] = 1e308
+        k_mean, n = garch_pair.n_coefficients, garch_pair.n_equations
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _negative_loglik(theta, garch_pair) == np.inf
+            with pytest.raises(LikelihoodError, match="residual evaluation failed"):
+                garch_t_score(theta, garch_pair)
+            with pytest.raises(LikelihoodError, match="residual evaluation failed"):
+                garch_t_loglik(*constrain_params(theta, k_mean, n), garch_pair)
+
     def test_dimension_mismatch(self, rng):
         data = rng.standard_normal((80, 2))
         spec = random_spec(rng, 3)
@@ -430,7 +444,7 @@ class TestFit:
                          beta=np.full(2, 0.7),
                          correlation=np.array([[1.0, 0.4], [0.4, 1.0]]), nu=6.0)
         data = simulate_ccc_garch_t(spec, 400, seed=31)
-        monkeypatch.setattr(mgarch, "BFGS_MAX_ITER", 60)
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 60)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fit = fit_sure_garch_t(intercept_system(data))
@@ -490,7 +504,7 @@ class TestFit:
             fit_sure_garch_t(system)
 
     def test_small_sample_warning(self, rng, monkeypatch):
-        monkeypatch.setattr(mgarch, "BFGS_MAX_ITER", 5)
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 5)
         data = rng.standard_normal((60, 2))
         with pytest.warns(UserWarning, match="free parameters"):
             fit_sure_garch_t(intercept_system(data))

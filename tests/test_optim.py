@@ -31,12 +31,12 @@ def rosenbrock_gradient(x):
                             200.0 * (x1 - x0**2)])
 
 
-def bfgs(fun, x0, **kwargs):
+def bfgs(fun, x0):
     """minimize_bfgs on the central-difference gradient of fun, row by row."""
     def grad(x):
         return np.array([central_gradient(fun, row) for row in x])
 
-    return minimize_bfgs(fun, grad, x0, **kwargs)
+    return minimize_bfgs(fun, grad, x0)
 
 
 class TestDerivatives:
@@ -75,14 +75,15 @@ class TestDerivatives:
         per_probe = np.column_stack(columns)
         np.testing.assert_allclose(jac, (per_probe + per_probe.T) / 2.0, rtol=1e-12)
 
-    def test_gradient_rows_are_counted(self):
+    def test_gradient_rows_are_counted(self, monkeypatch):
         rows = []
 
         def grad(z):
             rows.append(len(z))
             return rosenbrock_gradient(z)
 
-        result = minimize_bfgs(rosenbrock, grad, np.array([1.1, 1.2]), max_iter=2)
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 2)
+        result = minimize_bfgs(rosenbrock, grad, np.array([1.1, 1.2]))
         # the curvature at x0, then one Hessian where BFGS ends and one after
         # each Newton step; one row at x0 and at every accepted iterate
         newton_steps = result.iterations - 2
@@ -99,13 +100,15 @@ class TestBfgs:
         assert result.converged
         np.testing.assert_allclose(result.x, np.linalg.solve(a, b), atol=1e-5)
 
-    def test_rosenbrock(self):
-        result = bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=2000)
+    def test_rosenbrock(self, monkeypatch):
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 2000)
+        result = bfgs(rosenbrock, np.array([-1.2, 1.0]))
         assert result.converged
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-3)
 
-    def test_trace_strictly_decreasing(self):
-        result = bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=2000)
+    def test_trace_strictly_decreasing(self, monkeypatch):
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 2000)
+        result = bfgs(rosenbrock, np.array([-1.2, 1.0]))
         trace = result.f_trace
         assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
 
@@ -124,8 +127,9 @@ class TestBfgs:
             bfgs(lambda x: np.inf, np.zeros(2))
 
     def test_iteration_budget_respected(self, monkeypatch):
-        monkeypatch.setattr(optim, "NEWTON_STEPS", 0)  # max_iter budgets BFGS alone
-        result = bfgs(rosenbrock, np.array([-1.2, 1.0]), max_iter=3)
+        monkeypatch.setattr(optim, "NEWTON_STEPS", 0)  # BFGS_MAX_ITER budgets BFGS alone
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 3)
+        result = bfgs(rosenbrock, np.array([-1.2, 1.0]))
         assert result.iterations <= 3
         assert not result.converged
 
@@ -176,11 +180,12 @@ class TestBfgs:
 class TestNewtonFinish:
     def test_polishes_a_loose_bfgs_point(self, monkeypatch):
         x0 = np.array([1.1, 1.2])
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 2)
         with monkeypatch.context() as patch:
             patch.setattr(optim, "NEWTON_STEPS", 0)  # the BFGS phase alone
-            loose = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0, max_iter=2)
+            loose = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0)
         assert not loose.converged
-        result = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0, max_iter=2)
+        result = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0)
         hessian = result.hessian
         assert result.converged
         assert result.message == "gradient norm below tolerance"
@@ -191,7 +196,7 @@ class TestNewtonFinish:
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-6)
         np.testing.assert_allclose(hessian, [[802.0, -400.0], [-400.0, 200.0]], rtol=1e-5)
 
-    def test_stops_where_the_hessian_is_indefinite(self):
+    def test_stops_where_the_hessian_is_indefinite(self, monkeypatch):
         def saddle(x):
             return x[0] ** 2 - x[1] ** 2
 
@@ -199,7 +204,8 @@ class TestNewtonFinish:
             return x * np.array([2.0, -2.0])
 
         x0 = np.array([1.0, 1.0])
-        result = minimize_bfgs(saddle, saddle_gradient, x0, max_iter=0)
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 0)
+        result = minimize_bfgs(saddle, saddle_gradient, x0)
         assert result.message == "Hessian is not positive definite"
         assert not result.converged
         np.testing.assert_array_equal(result.x, x0)
@@ -207,8 +213,9 @@ class TestNewtonFinish:
 
     def test_step_limit(self, monkeypatch):
         monkeypatch.setattr(optim, "NEWTON_STEPS", 1)
+        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 0)
         x0 = np.array([-1.2, 1.0])
-        result = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0, max_iter=0)
+        result = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0)
         assert result.message == "Newton step limit reached"
         assert result.iterations == 1
         assert result.fun < rosenbrock(x0)

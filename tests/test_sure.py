@@ -47,20 +47,16 @@ def var_components(data: np.ndarray, name: str) -> SignedComponents:
 
 def random_system(rng: np.random.Generator, widths, t_obs: int = 40) -> SureSystem:
     """Gaussian design with an intercept and widths[i] columns in equation i."""
-    regressors = tuple(
-        np.column_stack([np.ones(t_obs), rng.standard_normal((t_obs, w - 1))])
-        for w in widths
-    )
-    regressands = tuple(
-        x @ rng.standard_normal(x.shape[1]) + rng.standard_normal(t_obs)
-        for x in regressors
-    )
+    blocks = [np.column_stack([np.ones(t_obs), rng.standard_normal((t_obs, w - 1))])
+              for w in widths]
+    targets = [x @ rng.standard_normal(x.shape[1]) + rng.standard_normal(t_obs)
+               for x in blocks]
     layout = tuple(
         LayoutEntry(f"c{i},{j}", i + 1, "+", None if j == 0 else 1, j > 0)
         for i, w in enumerate(widths)
         for j in range(w)
     )
-    return SureSystem(regressands, regressors, layout)
+    return SureSystem(np.stack(targets), np.hstack(blocks), layout)
 
 
 class TestBuildDesign:
@@ -69,7 +65,7 @@ class TestBuildDesign:
         system = build_design(*comps, 1, 1, extra_lags=1)
         assert system.n_equations == 4
         assert system.effective_sample == 301
-        assert all(x.shape == (301, 5) for x in system.regressors)
+        assert all(system.design[:, sl].shape == (301, 5) for sl in system.slices)
         assert system.n_coefficients == 20
         restricted = [e for e in system.layout if e.restricted]
         assert len(restricted) == 8  # 4 equations x 2 regressors x 1 restricted lag
@@ -82,7 +78,7 @@ class TestBuildDesign:
         comps = components_from_walks(seed=2, t_obs=200)
         system = build_design(*comps, 2, 1, extra_lags=0)
         assert system.effective_sample == 198
-        widths = [x.shape[1] for x in system.regressors]
+        widths = [sl.stop - sl.start for sl in system.slices]
         assert widths == [5, 5, 3, 3]
 
     def test_no_augmentation_means_all_slopes_restricted(self):
@@ -96,7 +92,7 @@ class TestBuildDesign:
         system = build_design(*comps, 1, 1, extra_lags=1)
         start = 2
         for eq in range(2):  # positive equations: columns are lagged positives
-            design = system.regressors[eq]
+            design = system.design[:, system.slices[eq]]
             for lag in (1, 2):
                 for j in range(2):
                     col = design[:, 1 + (lag - 1) * 2 + j]
@@ -104,7 +100,7 @@ class TestBuildDesign:
                         col, comps[j].positive[start - lag : 120 - lag]
                     )
         for eq in range(2, 4):  # negative equations: lagged negatives
-            design = system.regressors[eq]
+            design = system.design[:, system.slices[eq]]
             for lag in (1, 2):
                 for j in range(2):
                     col = design[:, 1 + (lag - 1) * 2 + j]
@@ -134,15 +130,13 @@ class TestBuildDesign:
             build_design(*comps, 1, 1, extra_lags=-1)
 
     def test_every_equation_gets_its_own_design_array(self):
-        # equations of one sign block have equal designs; were they one array,
-        # numpy would form X_i'X_i by syrk instead of gemm, which rounds
-        # differently and moves the FGLS estimates by a few parts in a million
+        # equations of one sign block have equal designs, in columns of their
+        # own: on one shared array numpy would form X_i'X_j by syrk instead of
+        # gemm, which rounds differently and moves the FGLS estimates by a few
+        # parts in a million (TestSureSystem's separate-arrays property)
         system = build_design(*components_from_walks(seed=8), 2, 1, extra_lags=1)
-        xs = system.regressors
+        xs = [system.design[:, sl] for sl in system.slices]
         np.testing.assert_array_equal(xs[0], xs[1])
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                assert not np.shares_memory(xs[i], xs[j])
 
 
 class TestSelectLags:
@@ -231,22 +225,73 @@ class TestSelectLags:
 
 class TestSureSystem:
     def test_rejects_equations_with_different_row_counts(self, rng):
+        # every regressand is a row of one (n, T) array, every design column
+        # has its T rows
         system, _ = exog_two_equation_system(rng, t_obs=40)
-        y1, y2 = system.regressands
-        x1, x2 = system.regressors
-        with pytest.raises(ValueError, match="regressand"):
-            SureSystem((y1, y2[1:]), (x1, x2[1:]), system.layout)
-        with pytest.raises(ValueError, match="design rows"):
-            SureSystem((y1, y2), (x1, x2[1:]), system.layout)
+        with pytest.raises(ValueError, match=r"targets have shape \(40,\), not \(n, T\)"):
+            SureSystem(system.targets[0], system.design, system.layout)
+        with pytest.raises(ValueError, match=r"design has shape \(39, 4\)"):
+            SureSystem(system.targets, system.design[1:], system.layout)
         assert system.effective_sample == 40
+
+    def test_rejects_shapes_and_runs_that_disagree(self, rng):
+        system, _ = exog_two_equation_system(rng, t_obs=40)
+        targets, design, layout = system.targets, system.design, system.layout
+        with pytest.raises(ValueError, match=r"\(40, 4\), not \(T, k\) = \(39, 4\) "):
+            SureSystem(targets[:, 1:], design, layout)
+        with pytest.raises(ValueError, match=r"\(40, 4\), not \(T, k\) = \(40, 3\) "):
+            SureSystem(targets, design, layout[:3])
+        with pytest.raises(ValueError, match="split into more than one run"):
+            SureSystem(targets, design, layout[::2] + layout[1::2])  # equations 1, 2, 1, 2
+        with pytest.raises(ValueError, match=r"\(3, 40\), not \(n, T\) = \(2, 40\) "):
+            SureSystem(np.vstack([targets, targets[:1]]), design, layout)
+
+    def test_equations_are_the_layout_runs(self, rng):
+        system = random_system(rng, [3, 1, 4])
+        assert system.slices == (slice(0, 3), slice(3, 4), slice(4, 8))
+        np.testing.assert_array_equal(system.equation_index, [0, 0, 0, 1, 2, 2, 2, 2])
+        assert system.targets.flags.c_contiguous and system.design.flags.c_contiguous
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        t_obs=st.integers(8, 60),
+        lags=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2)),
+        built=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_equal_those_of_separate_equation_arrays(
+            self, widths, t_obs, lags, built, seed):
+        # the system stores one design and one regressand array; each product
+        # must equal the same product on separate contiguous copies of each
+        # equation's arrays, bit for bit (on column views of the design, X_i'y_j
+        # and X_i'X_j round differently for equations 1 to 3 columns wide)
+        rng = np.random.default_rng(seed)
+        if built:
+            comps = [SignedComponents(rng.standard_normal(t_obs + 20).cumsum(),
+                                      rng.standard_normal(t_obs + 20).cumsum(), f"v{i}")
+                     for i in range(2)]
+            system = build_design(*comps, *lags)
+        else:
+            system = random_system(rng, widths, t_obs)
+        slices = system.slices
+        xs = [np.ascontiguousarray(system.design[:, sl]) for sl in slices]
+        ys = [row.copy() for row in system.targets]
+        coefficients = rng.standard_normal(system.n_coefficients)
+        residuals = system.residuals(coefficients)
+        for i, (a, sl) in enumerate(zip(xs, slices)):
+            for j, b in enumerate(xs):
+                np.testing.assert_array_equal(system.gram[sl, slices[j]], a.T @ b)
+                np.testing.assert_array_equal(system.xty[sl, j], a.T @ ys[j])
+            np.testing.assert_array_equal(residuals[:, i], ys[i] - a @ coefficients[sl])
 
 
 class TestOls:
     def test_noiseless_single_regressor(self):
         x = np.linspace(1.0, 5.0, 40)[:, None]
         system = SureSystem(
-            regressands=(2.0 * x[:, 0],),
-            regressors=(x,),
+            targets=2.0 * x.T,
+            design=x,
             layout=(LayoutEntry("beta+_1,1", 1, "+", 1, True),),
         )
         fit = ols_fit(system)
@@ -350,7 +395,7 @@ class TestFgls:
         )
         ys = tuple(x @ rng.standard_normal(width) + rng.standard_normal(40)
                    for _ in range(n))
-        system = SureSystem(ys, (x,) * n, layout)
+        system = SureSystem(np.stack(ys), np.hstack((x,) * n), layout)
         factor = np.diag(diagonal[:n])
         factor[np.tril_indices(n, -1)] = lower[: n * (n - 1) // 2]
         omega = factor @ factor.T
@@ -373,14 +418,14 @@ class TestFgls:
             for i in range(2)
         ]
         system = build_design(*comps, 2, 1, extra_lags=1)
-        assert [x.shape[1] for x in system.regressors] == [7, 7, 5, 5]
+        assert [sl.stop - sl.start for sl in system.slices] == [7, 7, 5, 5]
         n, t_eff = system.n_equations, system.effective_sample
         scale = rng.standard_normal((n, n))
         omega = scale @ scale.T + n * np.eye(n)
         z = np.zeros((n * t_eff, system.n_coefficients))
-        for i, (x, sl) in enumerate(zip(system.regressors, system.slices)):
-            z[i * t_eff : (i + 1) * t_eff, sl] = x
-        y = np.concatenate(system.regressands)
+        for i, sl in enumerate(system.slices):
+            z[i * t_eff : (i + 1) * t_eff, sl] = system.design[:, sl]
+        y = system.targets.ravel()
         weight = np.kron(np.linalg.inv(omega), np.eye(t_eff))
         cov_dense = np.linalg.inv(z.T @ weight @ z)
         coef_dense = cov_dense @ (z.T @ weight @ y)
@@ -390,7 +435,8 @@ class TestFgls:
         # the broadcast assembly keeps the arithmetic of the per-block loop
         inv = np.linalg.inv(np.linalg.cholesky(omega))
         inv = inv.T @ inv
-        xs, ys, slices = system.regressors, system.regressands, system.slices
+        slices, ys = system.slices, system.targets
+        xs = [system.design[:, sl] for sl in slices]
         a = np.zeros((system.n_coefficients,) * 2)
         b = np.zeros(system.n_coefficients)
         for i in range(n):
@@ -434,8 +480,8 @@ class TestFgls:
     def test_equation_reordering_permutes_coefficients(self, rng):
         system, _ = exog_two_equation_system(rng)
         swapped = SureSystem(
-            regressands=system.regressands[::-1],
-            regressors=system.regressors[::-1],
+            targets=system.targets[::-1],
+            design=np.hstack([system.design[:, 2:], system.design[:, :2]]),
             layout=system.layout[2:] + system.layout[:2],
         )
         original = fgls_fit(system).coefficients
