@@ -130,7 +130,8 @@ def load_csv(
     as numbers if every label is numeric, as dates if every label is an ISO
     date, otherwise as strings.
     If the requested value column is absent from a two-column file, the
-    non-date column is used (FRED names it after the series id).
+    non-date column is used (FRED names it after the series id).  Names
+    match regardless of case; a requested name on two columns is rejected.
     """
     file_path = Path(path)
     if not file_path.exists():
@@ -142,7 +143,13 @@ def load_csv(
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        lookup = {h.lower(): i for i, h in enumerate(header)}
+        lowered = [h.lower() for h in header]
+        for column in (date_column, value_column):
+            found = [str(i + 1) for i, h in enumerate(lowered) if h == column.lower()]
+            if len(found) > 1:
+                raise DataError(f"{path}: column {column!r} appears more than once, "
+                                f"at positions {', '.join(found)}; found {header}")
+        lookup = {h: i for i, h in enumerate(lowered)}
         if date_column.lower() not in lookup:
             raise DataError(
                 f"{path}: no column {date_column!r}; found {header}"

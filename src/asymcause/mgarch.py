@@ -94,7 +94,7 @@ class GarchFit:
     information: np.ndarray  # over all transformed parameters, mean block first
     gradient_max: float  # max |score| at the returned point
     stop: str  # the rule that ended the fit
-    n_evals: int  # log-likelihood evaluations by BFGS and the Newton finish
+    n_evals: int  # log-likelihood evaluations by minimize_bfgs
     n_gradients: int  # score rows they evaluated, each Jacobian's 2k probes included
     trace: tuple[float, ...] = ()  # log-likelihood at accepted iterates
 
@@ -420,7 +420,8 @@ def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
     score's forward pass; +inf where the likelihood or a transform fails, and
     where a persistence or share logit passes _LOGIT_LIMIT."""
     k_mean, n = system.n_coefficients, system.n_equations
-    if np.max(np.abs(theta[k_mean + n : k_mean + 3 * n])) > _LOGIT_LIMIT:
+    _, _, persistence, share, _, _ = _blocks(theta, k_mean, n)
+    if np.max(np.abs(np.concatenate([persistence, share]))) > _LOGIT_LIMIT:
         return np.inf
     try:
         mean, params, _, _ = _constrained(theta[None], k_mean, n)
@@ -453,8 +454,8 @@ def fit_sure_garch_t(
 
     Mean coefficients start from FGLS (or the supplied estimate); variance
     parameters start from moment-based values.  One `minimize_bfgs` call,
-    at most optim.BFGS_MAX_ITER BFGS iterations then Newton steps, returns
-    the observed information as its Hessian: central differences of the score.
+    at most optim.BFGS_MAX_ITER iterations, returns the observed information
+    as its Hessian: central differences of the score.
     The objective runs the score's forward pass on a one-row stack and is
     +inf once a persistence or share logit passes +-_LOGIT_LIMIT, so the fit
     stops short of a boundary (alpha or beta = 0, alpha + beta = 1) instead

@@ -1,12 +1,13 @@
-"""Quasi-Newton minimizer on a caller-supplied gradient, with a Newton finish.
+"""Quasi-Newton minimizer on a caller-supplied gradient.
 
 `minimize_bfgs` runs BFGS with Armijo backtracking, started from the inverse
-of the Hessian at x0, then Newton steps.  The caller supplies the objective
-and its exact gradient, which maps a (P, k) stack of points to their (P, k)
-gradients.  The minimizer calls it on one row at each iterate and on all 2k
-probes of a Hessian at once: Hessians are central differences of that
-gradient.  The objective may return +inf outside its valid region;
-backtracking retreats from such points.
+of the Hessian at x0; a step that stalls refreshes that inverse from the
+Hessian where it ends.  The caller supplies the objective and its exact
+gradient, which maps a (P, k) stack of points to their (P, k) gradients.
+The minimizer calls it on one row at each iterate and on all 2k probes of a
+Hessian at once: Hessians are central differences of that gradient.  The
+objective may return +inf outside its valid region; backtracking retreats
+from such points.
 
 `central_gradient` and `central_hessian` difference the objective alone.
 The minimizer does not use them; they are the oracles that tests check
@@ -21,11 +22,11 @@ from typing import Callable
 import numpy as np
 
 GTOL = 1e-5  # converged when max |gradient component| falls below this
-FTOL_REL = 1e-10  # also stop when one step changes f by less than this * max(1, |f|)
+FTOL_REL = 1e-10  # a step changing f by less than this * max(1, |f|) has stalled
 GRADIENT_STEP = 1e-5  # central-difference steps are these * max(1, |x_i|)
 HESSIAN_STEP = 1e-4
-BFGS_MAX_ITER = 500  # most iterations of minimize_bfgs's BFGS phase
-NEWTON_STEPS = 5  # most steps of minimize_bfgs's Newton phase
+BFGS_MAX_ITER = 500  # most iterations of minimize_bfgs
+CURVATURE_REFRESHES = 5  # most stalled steps that minimize_bfgs refreshes from
 
 Objective = Callable[[np.ndarray], float]
 Gradient = Callable[[np.ndarray], np.ndarray]  # (P, k) points to (P, k) gradients
@@ -130,22 +131,24 @@ def _inverse_curvature(grad: Gradient, x: np.ndarray) -> np.ndarray:
 
 
 def minimize_bfgs(fun: Objective, grad: Gradient, x0: np.ndarray) -> OptimResult:
-    """Minimize fun, whose gradient is grad, from x0: BFGS, then Newton.
+    """Minimize fun, whose gradient is grad, from x0 by BFGS.
 
-    BFGS: at most BFGS_MAX_ITER iterations from the inverse curvature at x0
-    (see `_inverse_curvature`), not the identity, so an ill-conditioned
-    problem needs no iterations to learn its scales; it stops on small
-    gradient, small relative change or a failed line search.  Newton: at most
-    NEWTON_STEPS steps while max |gradient| is at least GTOL and the Hessian
-    `gradient_jacobian(grad, x)` is positive definite; message names the
-    rule that ended them, and hessian is that Hessian at the returned point.
+    The inverse Hessian starts as `_inverse_curvature` at x0, not the
+    identity, so an ill-conditioned problem needs no iterations to learn its
+    scales.  A step that changes f by less than FTOL_REL * max(1, |f|) while
+    max |gradient| is at least GTOL has stalled: the inverse Hessian is
+    refreshed to `_inverse_curvature` where it ends, so the next step is a
+    Newton step where the curvature is positive definite.  The loop stops on
+    the first of: max |gradient| below GTOL, BFGS_MAX_ITER iterations, a
+    failed line search, or a stall after CURVATURE_REFRESHES refreshes;
+    message names that rule, and hessian is `gradient_jacobian(grad, x)` at
+    the returned point.
 
     grad is called on one row at accepted iterates, where fun is finite, and
-    on the (2k, k) probe stack of `gradient_jacobian` at x0, at each Newton
-    phase iterate and at any BFGS iterate where the search direction stops
-    descending.  Both phases backtrack on the Armijo condition, so fun
-    decreases strictly at every accepted iterate, and both count as
-    iterations.  converged means max |gradient| < GTOL at the returned point.
+    on the (2k, k) probe stack of `gradient_jacobian` at x0, at each refresh
+    or descent restart, and at the returned point.  Every step backtracks on
+    the Armijo condition, so fun decreases strictly at every accepted
+    iterate.  converged means max |gradient| < GTOL at the returned point.
     """
     x = np.asarray(x0, dtype=float).copy()
     k = x.size
@@ -159,9 +162,15 @@ def minimize_bfgs(fun: Objective, grad: Gradient, x0: np.ndarray) -> OptimResult
     g = grad(x[None])[0]
     h_inv = _inverse_curvature(grad, x)
     trace = [f_x]
-    iteration = 0
+    iteration = refreshes = 0
 
-    while iteration < BFGS_MAX_ITER and np.max(np.abs(g)) >= GTOL:
+    while True:
+        if np.max(np.abs(g)) < GTOL:
+            message = "gradient norm below tolerance"
+            break
+        if iteration == BFGS_MAX_ITER:
+            message = "maximum iterations reached"
+            break
         iteration += 1
         direction = -h_inv @ g
         slope = float(direction @ g)
@@ -171,6 +180,7 @@ def minimize_bfgs(fun: Objective, grad: Gradient, x0: np.ndarray) -> OptimResult
             slope = float(direction @ g)
         accepted = _armijo(f, x, f_x, direction, slope)
         if accepted is None:
+            message = "line search failed to make progress"
             break
         x_new, f_new = accepted
         g_new = grad(x_new[None])[0]
@@ -184,42 +194,22 @@ def minimize_bfgs(fun: Objective, grad: Gradient, x0: np.ndarray) -> OptimResult
                 (np.eye(k) - rho * outer) @ h_inv @ (np.eye(k) - rho * outer.T)
                 + rho * np.outer(step, step)
             )
-        f_change = abs(f_x - f_new)
+        stalled = abs(f_x - f_new) < FTOL_REL * max(1.0, abs(f_new))
         x, f_x, g = x_new, f_new, g_new
         trace.append(f_x)
-        if f_change < FTOL_REL * max(1.0, abs(f_x)):
-            break
-
-    steps = 0
-    while True:
-        hessian = gradient_jacobian(grad, x)
-        if np.max(np.abs(g)) < GTOL:
-            message = "gradient norm below tolerance"
-            break
-        if steps == NEWTON_STEPS:
-            message = "Newton step limit reached"
-            break
-        try:
-            chol = np.linalg.cholesky(hessian)
-        except np.linalg.LinAlgError:
-            message = "Hessian is not positive definite"
-            break
-        direction = -np.linalg.solve(chol.T, np.linalg.solve(chol, g))
-        accepted = _armijo(f, x, f_x, direction, float(direction @ g))
-        if accepted is None:
-            message = "Newton line search failed to make progress"
-            break
-        x, f_x = accepted
-        g = grad(x[None])[0]
-        trace.append(f_x)
-        steps += 1
+        if stalled and np.max(np.abs(g)) >= GTOL:
+            if refreshes == CURVATURE_REFRESHES:
+                message = "curvature refresh limit reached"
+                break
+            refreshes += 1
+            h_inv = _inverse_curvature(grad, x)
 
     return OptimResult(
         x=x,
         fun=f_x,
         gradient=g,
-        hessian=hessian,
-        iterations=iteration + steps,
+        hessian=gradient_jacobian(grad, x),
+        iterations=iteration,
         converged=bool(np.max(np.abs(g)) < GTOL),
         message=message,
         f_trace=tuple(trace),

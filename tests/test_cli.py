@@ -134,6 +134,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no column 'VALUE'"):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("header, column, positions", [
+        ("DATE,VALUE,value", "VALUE", "2, 3"),
+        ("date,VALUE,DATE", "DATE", "1, 3"),
+    ])
+    def test_duplicated_column_rejected(self, tmp_path, header, column, positions):
+        # case-insensitive names: the last duplicate used to win silently
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\n" + "".join(
+            f"{20 - i},{i}.0,{i}.5\n" for i in range(1, 6)))
+        with pytest.raises(DataError, match=f"column '{column}' appears more than "
+                                            f"once, at positions {positions}"):
+            load_csv(str(path))
+
     def test_two_column_fallback_uses_series_id(self, tmp_path):
         path = tmp_path / "fred.csv"
         path.write_text(
@@ -280,7 +293,7 @@ class TestPipeline:
         assert f"  Warning: {warning}" in render_report(report, "text").splitlines()
 
     def test_unconverged_garch_fit_is_warned(self, garch_csvs, monkeypatch):
-        monkeypatch.setattr(optim, "NEWTON_STEPS", 0)
+        monkeypatch.setattr(optim, "CURVATURE_REFRESHES", 0)
         config = AnalysisConfig(inputs=tuple(garch_csvs), fixed_lags=(1, 1),
                                 estimator="garch_t")
         with warnings.catch_warnings():
@@ -288,9 +301,9 @@ class TestPipeline:
             report = run_pipeline(config)
         estimation = report.diagnostics["estimation"]
         assert not estimation["converged"]
-        assert estimation["stop"] == "Newton step limit reached"
+        assert estimation["stop"] == "curvature refresh limit reached"
         assert report.diagnostics["warnings"][-1] == (
-            "the garch_t estimate did not converge (Newton step limit reached); "
+            "the garch_t estimate did not converge (curvature refresh limit reached); "
             "its standard errors and Wald tests are unreliable")
 
 

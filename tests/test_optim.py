@@ -84,11 +84,10 @@ class TestDerivatives:
 
         monkeypatch.setattr(optim, "BFGS_MAX_ITER", 2)
         result = minimize_bfgs(rosenbrock, grad, np.array([1.1, 1.2]))
-        # the curvature at x0, then one Hessian where BFGS ends and one after
-        # each Newton step; one row at x0 and at every accepted iterate
-        newton_steps = result.iterations - 2
-        assert rows.count(4) == 1 + 1 + newton_steps
-        assert rows.count(1) == 1 + result.iterations
+        assert result.message == "maximum iterations reached"
+        # the curvature at x0 and the Hessian at the returned point; one row
+        # at x0 and at every accepted iterate
+        assert rows == [1, 4, 1, 1, 4]
         assert result.n_gradients == sum(rows)
 
 
@@ -127,10 +126,10 @@ class TestBfgs:
             bfgs(lambda x: np.inf, np.zeros(2))
 
     def test_iteration_budget_respected(self, monkeypatch):
-        monkeypatch.setattr(optim, "NEWTON_STEPS", 0)  # BFGS_MAX_ITER budgets BFGS alone
         monkeypatch.setattr(optim, "BFGS_MAX_ITER", 3)
         result = bfgs(rosenbrock, np.array([-1.2, 1.0]))
-        assert result.iterations <= 3
+        assert result.iterations == 3
+        assert result.message == "maximum iterations reached"
         assert not result.converged
 
     def test_curvature_start_solves_an_ill_conditioned_quadratic(self, rng):
@@ -152,22 +151,24 @@ class TestBfgs:
         np.testing.assert_allclose(result.x, 0.0, atol=1e-5)
 
     def test_small_change_with_large_gradient_is_not_converged(self, monkeypatch):
-        # near f = 1e9 FTOL_REL stops on a step that gains 3e-5, far from x = 0
-        monkeypatch.setattr(optim, "NEWTON_STEPS", 0)
+        # near f = 1e9 a step that gains 5e-5 stalls far from x = 0; with no
+        # refresh left, the stall ends the loop
+        monkeypatch.setattr(optim, "CURVATURE_REFRESHES", 0)
         result = bfgs(lambda x: 1e9 + 50.0 * x[0] ** 2, np.array([1e-3]))
-        *_, before, after = result.f_trace
-        assert result.iterations < 500  # not the iteration budget, but FTOL_REL
+        before, after = result.f_trace
         assert before - after < optim.FTOL_REL * after
-        assert result.message == "Newton step limit reached"
+        assert result.message == "curvature refresh limit reached"
         assert np.max(np.abs(result.gradient)) > GTOL
         assert not result.converged
 
-    def test_newton_phase_finishes_a_small_change_stop(self, monkeypatch):
+
+class TestCurvatureRefresh:
+    def test_polishes_an_ftol_stall(self, monkeypatch):
         def fun(x):
             return 1e9 + 50.0 * x[0] ** 2
 
         with monkeypatch.context() as patch:
-            patch.setattr(optim, "NEWTON_STEPS", 0)
+            patch.setattr(optim, "CURVATURE_REFRESHES", 0)
             stopped = bfgs(fun, np.array([1e-3]))
         result = bfgs(fun, np.array([1e-3]))
         assert result.f_trace[: len(stopped.f_trace)] == stopped.f_trace
@@ -176,46 +177,51 @@ class TestBfgs:
         assert result.message == "gradient norm below tolerance"
         np.testing.assert_allclose(result.x, 0.0, atol=1e-6)
 
+    def test_refreshed_steps_are_newton_steps(self, monkeypatch):
+        # every step stalls, so each one starts from the exact curvature
+        monkeypatch.setattr(optim, "FTOL_REL", np.inf)
+        rows = []
 
-class TestNewtonFinish:
-    def test_polishes_a_loose_bfgs_point(self, monkeypatch):
-        x0 = np.array([1.1, 1.2])
-        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 2)
-        with monkeypatch.context() as patch:
-            patch.setattr(optim, "NEWTON_STEPS", 0)  # the BFGS phase alone
-            loose = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0)
-        assert not loose.converged
-        result = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0)
-        hessian = result.hessian
+        def grad(z):
+            rows.append(len(z))
+            return rosenbrock_gradient(z)
+
+        result = minimize_bfgs(rosenbrock, grad, np.array([1.1, 1.2]))
         assert result.converged
         assert result.message == "gradient norm below tolerance"
-        assert result.iterations == 2 + len(result.f_trace) - len(loose.f_trace)
-        assert result.f_trace[: len(loose.f_trace)] == loose.f_trace
+        # a Hessian after each step: a refresh, and at the last the returned point's
+        assert rows == [1, 4] + [1, 4] * result.iterations
         trace = result.f_trace
         assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-6)
-        np.testing.assert_allclose(hessian, [[802.0, -400.0], [-400.0, 200.0]], rtol=1e-5)
+        np.testing.assert_allclose(result.hessian, [[802.0, -400.0], [-400.0, 200.0]],
+                                   rtol=1e-5)
 
-    def test_stops_where_the_hessian_is_indefinite(self, monkeypatch):
-        def saddle(x):
-            return x[0] ** 2 - x[1] ** 2
-
-        def saddle_gradient(x):
-            return x * np.array([2.0, -2.0])
-
-        x0 = np.array([1.0, 1.0])
-        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 0)
-        result = minimize_bfgs(saddle, saddle_gradient, x0)
-        assert result.message == "Hessian is not positive definite"
-        assert not result.converged
-        np.testing.assert_array_equal(result.x, x0)
-        np.testing.assert_allclose(result.hessian, np.diag([2.0, -2.0]), atol=1e-9)
-
-    def test_step_limit(self, monkeypatch):
-        monkeypatch.setattr(optim, "NEWTON_STEPS", 1)
-        monkeypatch.setattr(optim, "BFGS_MAX_ITER", 0)
+    def test_refresh_limit(self, monkeypatch):
+        monkeypatch.setattr(optim, "FTOL_REL", np.inf)
+        monkeypatch.setattr(optim, "CURVATURE_REFRESHES", 2)
         x0 = np.array([-1.2, 1.0])
         result = minimize_bfgs(rosenbrock, rosenbrock_gradient, x0)
-        assert result.message == "Newton step limit reached"
-        assert result.iterations == 1
+        assert result.message == "curvature refresh limit reached"
+        assert result.iterations == 3
         assert result.fun < rosenbrock(x0)
+        assert not result.converged
+
+    def test_descends_from_a_saddle_start(self):
+        # x0^2 - x1^2 + x1^4 has a saddle at the origin and minima at
+        # (0, +-1/sqrt 2); at x0 its curvature is indefinite
+        def saddle(x):
+            return x[0] ** 2 - x[1] ** 2 + x[1] ** 4
+
+        def saddle_gradient(x):
+            return np.column_stack([2.0 * x[:, 0], -2.0 * x[:, 1] + 4.0 * x[:, 1] ** 3])
+
+        x0 = np.array([1.0, 0.1])
+        assert np.linalg.eigvalsh(optim.gradient_jacobian(saddle_gradient, x0))[0] < 0.0
+        result = minimize_bfgs(saddle, saddle_gradient, x0)
+        assert result.converged
+        assert result.message == "gradient norm below tolerance"
+        trace = result.f_trace
+        assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
+        np.testing.assert_allclose(result.x, [0.0, np.sqrt(0.5)], atol=1e-5)
+        np.testing.assert_allclose(result.hessian, np.diag([2.0, 4.0]), atol=1e-4)
