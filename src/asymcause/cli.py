@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .decomposition import DETERMINISTIC_KINDS, Series, _check_kind, decompose
-from .errors import AsymCauseError, DataError
+from .errors import AsymCauseError, DataError, InsufficientDataError
 from .mgarch import arch_lm_diag, fit_sure_garch_t
 from .montecarlo import ERROR_TAILS, STUDY_ESTIMATORS, DgpConfig, empirical_size
 from .sure import CRITERIA, build_design, fgls_fit, lag_order_table
@@ -265,9 +265,15 @@ def run_pipeline(config: AnalysisConfig) -> Report:
     estimator_used = config.estimator
     estimate, fit_extra = fgls, {}
     if config.estimator == "auto":
-        arch = arch_lm_diag(fgls.residuals, ARCH_LAGS)
-        diagnostics["arch_lm"] = {**arch._asdict(), "lags": ARCH_LAGS}
-        estimator_used = "garch_t" if arch.p_value < ARCH_GATE_LEVEL else "fgls"
+        try:
+            arch = arch_lm_diag(fgls.residuals, ARCH_LAGS)
+            diagnostics["arch_lm"] = {**arch._asdict(), "lags": ARCH_LAGS}
+            estimator_used = "garch_t" if arch.p_value < ARCH_GATE_LEVEL else "fgls"
+        except InsufficientDataError as exc:  # too short for the gate, not for FGLS
+            diagnostics["arch_lm"] = {"lags": ARCH_LAGS, "not_run": str(exc)}
+            diagnostics.setdefault("warnings", []).append(
+                f"ARCH LM gate not run, fgls kept: {exc}")
+            estimator_used = "fgls"
     if estimator_used == "garch_t":
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")  # each distinct warning, once
@@ -406,8 +412,8 @@ def _render_text(report: Report) -> str:
 
     lines.append("Diagnostics")
     lines.append("-" * 72)
-    arch = report.diagnostics.get("arch_lm")
-    if arch:
+    arch = report.diagnostics.get("arch_lm", {})
+    if "statistic" in arch:  # else the gate was not run, and a warning says why
         lines.append(
             f"  ARCH LM ({arch['lags']} lag(s)): statistic "
             f"{arch['statistic']:.4f}, dof {arch['dof']}, "
@@ -555,15 +561,9 @@ def _cmd_mc_size(args: argparse.Namespace) -> int:
     config = DgpConfig(
         **{field.name: getattr(args, field.name) for field in fields(DgpConfig)}
     )
-    rates = empirical_size(
-        config,
-        reps=args.reps,
-        level=args.level,
-        deterministic=args.deterministic,
-        fixed_lags=tuple(args.fixed_lags),
-        extra_lags=args.extra_lags,
-        estimator=args.estimator,
-    )
+    study = {name: getattr(args, name) for name in
+             ("reps", "level", "deterministic", "fixed_lags", "extra_lags", "estimator")}
+    rates = empirical_size(config, **study)
     if args.format == "json":
         payload = {
             "reps": args.reps,
@@ -571,6 +571,7 @@ def _cmd_mc_size(args: argparse.Namespace) -> int:
             "level": args.level,
             "seed": args.seed,
             "feedback": args.causal_feedback,
+            "config": {"dgp": asdict(config), **study},
             "rates": rates,
         }
         _emit(json.dumps(payload, indent=2), args.out)

@@ -211,22 +211,6 @@ def unconstrain_params(mean: np.ndarray, spec: GarchSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _residual_stack(mean: np.ndarray, system: SureSystem) -> np.ndarray:
-    """(T, P, n) residuals of a (P, k_mean) stack of mean coefficients: one
-    (T, k) @ (k, n) product per row, each coefficient's design column feeding
-    its own equation, so a row's residuals are the same in any stack."""
-    weights = np.zeros((*mean.shape, system.n_equations))
-    weights[:, np.arange(mean.shape[1]), system.equation_index] = mean
-    resid = np.empty((system.effective_sample, len(mean), system.n_equations))
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            fitted = system.design @ weights
-            np.subtract(system.targets.T[:, None, :], fitted.transpose(1, 0, 2), out=resid)
-        except FloatingPointError as exc:
-            raise LikelihoodError(f"residual evaluation failed: {exc}") from None
-    return resid
-
-
 def _linear_recursion(rows: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """rows[t] = rows[t] + beta * rows[t-1] for t = 1, 2, ..., in place.
 
@@ -258,6 +242,7 @@ class _Forward(NamedTuple):
     """One likelihood evaluation of P rows, with what the score reuses."""
 
     value: np.ndarray  # (P,) log-likelihoods
+    resid: np.ndarray  # (T, P, n) residuals
     sq: np.ndarray  # (T, P, n) squared residuals
     s2: np.ndarray  # (P, n) their means, the presample variance and shock
     h: np.ndarray  # (T, P, n) conditional variances
@@ -267,16 +252,21 @@ class _Forward(NamedTuple):
     quad: np.ndarray  # (P, T) q = z' correlation^-1 z
 
 
-def _forward(resid: np.ndarray, params: _Params) -> _Forward:
-    """garch_t_loglik of each row at its (T, P, n) residuals, n even.
+def _forward(system: SureSystem, mean: np.ndarray, params: _Params) -> _Forward:
+    """garch_t_loglik of each of P rows: a (P, k_mean) stack of mean
+    coefficients and their variance parameters, n even.
 
     Presample squared shock and variance are both set to the sample mean
     square of each equation's residuals, so h_0 = omega + (alpha+beta)*s2
     and the GARCH(1,1) recursion needs no presample observations.
     """
-    n = resid.shape[2]
+    n = system.n_equations
     nu = params.nu
     with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            resid = system.residuals(mean)
+        except FloatingPointError as exc:
+            raise LikelihoodError(f"residual evaluation failed: {exc}") from None
         try:
             # the scale matrix S_t = (nu - 2) / nu * H_t folds into pi (nu - 2)
             const = (np.sum(np.log(_nu_shifts(nu, n)), axis=0)
@@ -303,7 +293,7 @@ def _forward(resid: np.ndarray, params: _Params) -> _Forward:
             raise LikelihoodError(f"log-likelihood evaluation failed: {exc}") from None
     if not np.all(np.isfinite(value)):
         raise LikelihoodError("log-likelihood is not finite")
-    return _Forward(value, sq, s2, h, std_resid, chol, half, quad)
+    return _Forward(value, resid, sq, s2, h, std_resid, chol, half, quad)
 
 
 def garch_t_loglik(
@@ -318,10 +308,9 @@ def garch_t_loglik(
     """
     if system.n_equations != spec.n:
         raise ValueError("GarchSpec dimension does not match the system")
-    resid = _residual_stack(np.asarray(coefficients, dtype=float)[None], system)
     params = _Params(spec.omega[None], spec.alpha[None], spec.beta[None],
                      spec.correlation[None], np.array([spec.nu]))
-    return float(_forward(resid, params).value[0])
+    return float(_forward(system, np.asarray(coefficients, dtype=float)[None], params).value[0])
 
 
 def _psi_gap(nu: np.ndarray, n: int) -> np.ndarray:
@@ -348,8 +337,7 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     except FloatingPointError as exc:
         raise LikelihoodError(f"score evaluation failed: {exc}") from None
     t_eff = system.effective_sample
-    resid = _residual_stack(mean, system)
-    _, sq, s2, h, z, chol, half, quad = _forward(resid, params)
+    _, resid, sq, s2, h, z, chol, half, quad = _forward(system, mean, params)
     nu = params.nu[:, None]
     # (T, P, n) arrays stay C-ordered, so each recursion step is one contiguous
     # row, and each is dropped once spent: a Jacobian's stack has P = 2k rows
@@ -385,9 +373,9 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
             resid *= 2.0 * (params.alpha + params.beta) * lam[0] / t_eff
             resid_bar += resid
             del resid, lam
-            # each coefficient against its own equation's column of resid_bar
-            mean_bar = system.design.T @ resid_bar.transpose(1, 0, 2)
-            mean_bar = -mean_bar[:, np.arange(k_mean), system.equation_index]
+            # each equation's columns against its own column of resid_bar
+            mean_bar = -np.concatenate([system.design[:, sl].T @ resid_bar[:, :, i]
+                                        for i, sl in enumerate(system.slices)]).T
             chol_bar = 2.0 * corr_bar @ chol
             chol_bar -= np.sum(chol_bar * chol, axis=2)[:, :, None] * chol
             diag = np.diagonal(chol, axis1=1, axis2=2)[:, :, None]
@@ -425,7 +413,7 @@ def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
         return np.inf
     try:
         mean, params, _, _ = _constrained(theta[None], k_mean, n)
-        return -float(_forward(_residual_stack(mean, system), params).value[0])
+        return -float(_forward(system, mean, params).value[0])
     except (LikelihoodError, ArithmeticError):
         return np.inf
 

@@ -106,11 +106,15 @@ class SureSystem:
         return len(self.layout)
 
     def residuals(self, coefficients: np.ndarray) -> np.ndarray:
-        """(T, n) residuals of every equation at a stacked coefficient vector."""
-        # one product per equation: a single (T, k) @ (k, n) product of the
-        # whole design rounds differently and moves the FGLS estimates
-        return np.column_stack([y - self.design[:, sl] @ coefficients[sl]
-                                for y, sl in zip(self.targets, self.slices)])
+        """Residuals of every equation: (T, n) at a (k,) coefficient vector,
+        C-ordered (T, P, n) at a (P, k) stack of them."""
+        # one matrix-vector product per equation and row: a stacked row equals its
+        # (k,) call bit for bit, and a product of the whole design moves FGLS's bits
+        stack = np.atleast_2d(coefficients)
+        fitted = np.concatenate([self.design[:, sl] @ stack[:, sl, None]
+                                 for sl in self.slices], axis=2)
+        resid = np.subtract(self.targets.T[:, None], fitted.transpose(1, 0, 2), order="C")
+        return resid if np.ndim(coefficients) == 2 else resid[:, 0]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from asymcause.cli import (
     render_report,
     run_pipeline,
 )
+from asymcause.decomposition import Series
 from asymcause.errors import DataError
 from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
 from asymcause.optim import GTOL
@@ -199,6 +200,27 @@ class TestPipeline:
         assert report.provenance["estimator"] == "fgls"
         assert "arch_lm" in report.diagnostics
         assert report.diagnostics["arch_lm"]["p_value"] >= 0.05
+
+    def test_auto_keeps_fgls_when_the_gate_sample_is_too_short(self, tmp_path):
+        # 14 observations leave FGLS 12 rows, too few for the ARCH LM regression
+        rng = np.random.default_rng(1)
+        paths = [write_series_csv(tmp_path / f"s{i}.csv",
+                                  Series(rng.standard_normal(14).cumsum()))
+                 for i in range(2)]
+        out = tmp_path / "report.json"
+        assert main(["run", "--input", *paths, "--fixed-lags", "1", "1",
+                     "--format", "json", "--out", str(out)]) == 0
+        report = parse_report(out.read_text())
+        fgls = run_pipeline(AnalysisConfig(inputs=tuple(paths), fixed_lags=(1, 1),
+                                           estimator="fgls"))
+        assert report.provenance["estimator"] == "fgls"
+        assert report.estimates == fgls.estimates
+        assert report.diagnostics["arch_lm"] == {
+            "lags": 1, "not_run": "12 observations are too few for the ARCH "
+            "regression with 1 lag(s) of 10 outer-product terms"}
+        warning = "ARCH LM gate not run, fgls kept: 12 observations are too few"
+        assert any(w.startswith(warning) for w in report.diagnostics["warnings"])
+        assert f"Warning: {warning}" in render_report(report)
 
     def test_lag_selection_recorded(self, pair_of_csvs):
         config = AnalysisConfig(
@@ -468,6 +490,22 @@ class TestMainEntry:
             error_tail="t", error_df=6.0, causal_feedback=0.3, t_obs=80, seed=9,
         )
         assert json.loads(out.read_text())["rates"] == empirical_size(config, reps=20)
+
+    def test_mc_size_json_reruns_from_its_config(self, tmp_path):
+        out = tmp_path / "rates.json"
+        assert main([
+            "mc-size", "--reps", "10", "--T", "60", "--seed", "3", "--level", "0.1",
+            "--drift", "0.2", "0.1", "--trend", "0.01", "0.0",
+            "--error-correlation", "0.5", "--tail", "t", "--df", "6",
+            "--feedback", "0.3", "--fixed-lags", "2", "1", "--extra-lags", "0",
+            "--estimator", "ols", "--deterministic", "drift_and_trend",
+            "--format", "json", "--out", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        study = dict(payload["config"])
+        config = DgpConfig(**study.pop("dgp"))
+        assert (config.error_correlation, study["fixed_lags"]) == (0.5, [2, 1])
+        assert empirical_size(config, **study) == payload["rates"]
 
     def test_data_errors_exit_nonzero(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")

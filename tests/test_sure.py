@@ -285,6 +285,28 @@ class TestSureSystem:
                 np.testing.assert_array_equal(system.xty[sl, j], a.T @ ys[j])
             np.testing.assert_array_equal(residuals[:, i], ys[i] - a @ coefficients[sl])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t_obs=st.integers(8, 60),
+        lags=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2)),
+        n_rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_rows_equal_single_calls(self, t_obs, lags, n_rows, seed):
+        # the GARCH-t likelihood evaluates a (P, k) stack of coefficient rows; each
+        # row's residuals must be its own (k,) call's, bit for bit, in any stack
+        rng = np.random.default_rng(seed)
+        comps = [SignedComponents(rng.standard_normal(t_obs + 20).cumsum(),
+                                  rng.standard_normal(t_obs + 20).cumsum(), f"v{i}")
+                 for i in range(2)]
+        system = build_design(*comps, *lags)
+        stack = rng.standard_normal((n_rows, system.n_coefficients))
+        residuals = system.residuals(stack)
+        assert residuals.shape == (system.effective_sample, n_rows, system.n_equations)
+        assert residuals.flags.c_contiguous
+        for row, coefficients in enumerate(stack):
+            np.testing.assert_array_equal(residuals[:, row], system.residuals(coefficients))
+
 
 class TestOls:
     def test_noiseless_single_regressor(self):
