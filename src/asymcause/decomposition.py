@@ -60,7 +60,8 @@ class SignedComponents:
     """Positive/negative partial cumulative sums of one variable.
 
     positive[t] and negative[t] are defined at every observation index; at
-    t=0 both are half the initial value (empty partial sum).
+    t=0 both are half the initial value (empty partial sum).  Arrays of shape
+    (..., T) hold a stack of such paths, one per leading index.
     """
 
     positive: np.ndarray
@@ -71,13 +72,14 @@ class SignedComponents:
     def __post_init__(self):
         pos = np.asarray(self.positive, dtype=float)
         neg = np.asarray(self.negative, dtype=float)
-        if pos.shape != neg.shape or pos.ndim != 1:
-            raise DataError("positive/negative components must be 1-d and equal length")
+        if pos.shape != neg.shape or pos.ndim < 1:
+            raise DataError("positive/negative components must have equal shapes "
+                            "with the observations on the last axis")
         object.__setattr__(self, "positive", pos)
         object.__setattr__(self, "negative", neg)
 
     def __len__(self) -> int:
-        return self.positive.size
+        return self.positive.shape[-1]
 
 
 def _check_kind(kind: str) -> None:

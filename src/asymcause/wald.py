@@ -44,8 +44,8 @@ class HypothesisSpec:
 
 @dataclass(frozen=True)
 class WaldResult:
-    statistic: float
-    p_value: float
+    statistic: float | np.ndarray  # an array for a stacked estimate
+    p_value: float | np.ndarray
     hypothesis: HypothesisSpec
 
 
@@ -168,17 +168,22 @@ def catalog(
 
 
 def wald_test(estimate: CoefficientEstimate, spec: HypothesisSpec) -> WaldResult:
-    """Quadratic-form test of R c = 0 with chi-square reference distribution."""
+    """Quadratic-form test of R c = 0 with chi-square reference distribution.
+
+    A stacked estimate gives arrays of statistics and p-values, one entry per
+    system, each equal bit for bit to the system's own test: the stacked
+    products and solves run the same BLAS and LAPACK call on every system.
+    """
     r = spec.restriction
     c = estimate.coefficients
-    if r.shape[1] != c.size:
+    if r.shape[1] != c.shape[-1]:
         raise ValueError(
             f"{spec.id}: restriction has {r.shape[1]} columns for "
-            f"{c.size} coefficients"
+            f"{c.shape[-1]} coefficients"
         )
-    rc = r @ c
+    rc = r @ c[..., None]
     s = r @ estimate.covariance @ r.T
-    s = (s + s.T) / 2.0
+    s = (s + s.swapaxes(-1, -2)) / 2.0
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
@@ -187,12 +192,12 @@ def wald_test(estimate: CoefficientEstimate, spec: HypothesisSpec) -> WaldResult
             "(degenerate restriction set)"
         ) from None
     half = np.linalg.solve(chol, rc)
-    statistic = float(half @ half)
-    return WaldResult(
-        statistic=statistic,
-        p_value=chisq_sf(statistic, spec.dof),
-        hypothesis=spec,
-    )
+    statistic = (half.swapaxes(-1, -2) @ half)[..., 0, 0]
+    if np.ndim(statistic) == 0:
+        statistic = float(statistic)
+        return WaldResult(statistic, chisq_sf(statistic, spec.dof), spec)
+    p_value = [chisq_sf(x, spec.dof) for x in statistic.ravel().tolist()]
+    return WaldResult(statistic, np.reshape(p_value, statistic.shape), spec)
 
 
 def run_catalog(

@@ -1,10 +1,36 @@
 """DGP simulator and rejection-rate studies."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import asymcause.montecarlo as montecarlo
 import asymcause.wald
+from asymcause.decomposition import DETERMINISTIC_KINDS, Series, decompose
+from asymcause.errors import AsymCauseError, SingularityError
 from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
+from asymcause.sure import build_design, fgls_fit, ols_fit
+from asymcause.wald import HYPOTHESIS_IDS, catalog, run_catalog
+
+
+def reference_study(config, reps, deterministic, fixed_lags, extra_lags, estimator):
+    """Each replication on its own system: (R, 10) statistics and p-values,
+    FGLS iterations and convergence flags."""
+    rows = []
+    for rep in range(reps):
+        series = simulate_dgp(replace(config, seed=(config.seed, rep)))
+        system = build_design(*[decompose(s, deterministic) for s in series],
+                              *fixed_lags, extra_lags)
+        fit = fgls_fit(system) if estimator == "fgls" else ols_fit(system)
+        results = run_catalog(fit, catalog(system))
+        rows.append(([r.statistic for r in results], [r.p_value for r in results],
+                     fit.iterations, fit.converged))
+    statistics, p_values, iterations, converged = map(np.array, zip(*rows))
+    return statistics, p_values, iterations, converged
 
 
 class TestDgpConfig:
@@ -158,3 +184,75 @@ class TestEmpiricalSize:
             empirical_size(config, reps=10, level=1.5)
         with pytest.raises(ValueError):
             empirical_size(config, reps=10, estimator="ridge")
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        t_obs=st.integers(50, 100),
+        fixed_lags=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        extra_lags=st.integers(0, 2),
+        deterministic=st.sampled_from(DETERMINISTIC_KINDS),
+        rho=st.floats(-0.9, 0.9),
+        estimator=st.sampled_from(["fgls", "ols"]),
+        reps=st.integers(1, 35),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stacked_blocks_equal_the_replication_loop(
+            self, t_obs, fixed_lags, extra_lags, deterministic, rho, estimator, reps, seed):
+        # every replication's statistics, FGLS iterations and convergence flag
+        # are those of its own system, bit for bit, whatever the block size
+        config = DgpConfig(drift=(0.1, 0.1), error_correlation=rho, t_obs=t_obs, seed=seed)
+        study = dict(deterministic=deterministic, fixed_lags=fixed_lags,
+                     extra_lags=extra_lags, estimator=estimator)
+        try:
+            statistics, p_values, iterations, converged = reference_study(
+                config, reps, **study)
+        except AsymCauseError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                empirical_size(config, reps, **study)
+            return
+        rates = {hid: float(np.mean(p_values[:, i] < 0.05))
+                 for i, hid in enumerate(HYPOTHESIS_IDS)}
+        seen = []
+        original = montecarlo.run_catalog
+
+        def recorded(fit, specs):
+            results = original(fit, specs)
+            seen.append((np.column_stack([r.statistic for r in results]),
+                         fit.iteration_counts, fit.converged))
+            return results
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "run_catalog", recorded)
+            assert empirical_size(config, reps, **study) == rates
+        np.testing.assert_array_equal(np.vstack([s for s, _, _ in seen]), statistics)
+        np.testing.assert_array_equal(np.concatenate([i for _, i, _ in seen]), iterations)
+        np.testing.assert_array_equal(np.concatenate([c for _, _, c in seen]), converged)
+        for block in (1, 7, reps):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(montecarlo, "STUDY_BLOCK", block)
+                assert empirical_size(config, reps, **study) == rates
+
+    @pytest.mark.parametrize("estimator", ["fgls", "ols"])
+    @pytest.mark.parametrize("block", [1, 4, 16])
+    def test_a_degenerate_replication_fails_the_study(self, monkeypatch, estimator, block):
+        # replication 5's second series is constant: the study raises that
+        # replication's own error, naming its equation and regressor
+        config = DgpConfig(drift=(0.1, 0.1), t_obs=80, seed=3)
+        original = montecarlo.simulate_dgp
+
+        def degenerate(rep_config):
+            series = original(rep_config)
+            if rep_config.seed[-1] == 5:
+                series[1] = Series(np.zeros(rep_config.t_obs), name=series[1].name)
+            return series
+
+        bad = degenerate(replace(config, seed=(3, 5)))
+        with pytest.raises(SingularityError) as own:
+            ols_fit(build_design(*[decompose(s, "drift") for s in bad], 1, 1, 1))
+        assert str(own.value) == ("equation Z+1 (var1): design matrix is rank-deficient "
+                                  "at beta+_2,1, a lag of 'var2'")
+        monkeypatch.setattr(montecarlo, "simulate_dgp", degenerate)
+        monkeypatch.setattr(montecarlo, "STUDY_BLOCK", block)
+        with pytest.raises(SingularityError) as study:
+            empirical_size(config, reps=12, estimator=estimator)
+        assert str(study.value) == str(own.value)

@@ -18,7 +18,7 @@ from asymcause.errors import (
 from asymcause.montecarlo import DgpConfig, simulate_dgp
 from asymcause.sure import LayoutEntry, SureSystem, gls_solve, lag_order_table, ols_fit
 
-from conftest import exog_two_equation_system, identical_regressor_system
+from conftest import exog_two_equation_system, identical_regressor_system, intercept_system
 
 
 def components_from_walks(seed, t_obs=300):
@@ -185,11 +185,20 @@ class TestSelectLags:
         with pytest.raises(ValueError, match="criterion"):
             lag_order_table(*comps, 2, "cp")
 
-    @pytest.mark.parametrize("criterion", ["aic", "sbc", "hq"])
+    @pytest.mark.parametrize("criterion", ["aic", "sbc", "hq", "hjc"])
     def test_all_criteria_run(self, criterion):
         comps = components_from_walks(seed=11, t_obs=400)
         p_pos, p_neg = lag_order_table(*comps, 4, criterion)["selected"]
         assert 1 <= p_pos <= 4 and 1 <= p_neg <= 4
+
+    def test_hjc_is_the_mean_of_sbc_and_hq(self):
+        # Hatemi-J's criterion: penalty (ln T_c + 2 ln ln T_c) / 2
+        for seed, p_max in itertools.product((41, 42), (1, 3, 8)):
+            comps = components_from_walks(seed=seed, t_obs=150)
+            hjc, sbc, hq = (lag_order_table(*comps, p_max, c) for c in ("hjc", "sbc", "hq"))
+            for sign in ("positive", "negative"):
+                np.testing.assert_allclose(hjc[sign], (sbc[sign] + hq[sign]) / 2.0,
+                                           rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("criterion", ["aic", "sbc", "hq"])
     def test_criterion_values_match_textbook_var_fits(self, criterion):
@@ -357,6 +366,35 @@ class TestOls:
         std_errors = np.sqrt(np.diag(fit.covariance))
         assert np.all(np.abs(fit.coefficients - truth) <= 3.0 * std_errors)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_covariance_is_the_cross_equation_sandwich(self, widths, seed):
+        # block (i, j) is omega_ij (X_i'X_i)^-1 X_i'X_j (X_j'X_j)^-1, so the
+        # diagonal blocks are omega_ii (X_i'X_i)^-1 and the cross blocks carry
+        # the correlation of the equations' errors
+        system = random_system(np.random.default_rng(seed), widths)
+        fit = ols_fit(system)
+        xs = [system.design[:, sl] for sl in system.slices]
+        inverses = [np.linalg.inv(x.T @ x) for x in xs]
+        for (i, si), (j, sj) in itertools.product(enumerate(system.slices), repeat=2):
+            expected = fit.omega[i, j] * inverses[i] @ xs[i].T @ xs[j] @ inverses[j]
+            scale = np.sqrt(np.outer(np.diag(fit.covariance)[si], np.diag(fit.covariance)[sj]))
+            np.testing.assert_allclose(fit.covariance[si, sj], expected, rtol=1e-9,
+                                       atol=1e-9 * np.max(scale))
+
+    def test_covariance_is_block_diagonal_when_omega_is(self):
+        # intercepts on orthogonal centred regressands: the residual covariance
+        # is exactly diagonal, and the covariance is omega_ii / T per equation
+        signs = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        data = 3.0 + np.tile(signs, (10, 1)) * [0.5, 2.0]
+        fit = ols_fit(intercept_system(data))
+        assert fit.omega[0, 1] == 0.0 and fit.covariance[0, 1] == 0.0
+        np.testing.assert_allclose(np.diag(fit.covariance), np.diag(fit.omega) / 40,
+                                   rtol=1e-14)
+
     def test_rank_deficiency_names_equation(self):
         up = increasing_components()
         other = components_from_walks(seed=12, t_obs=120)[0]
@@ -451,9 +489,9 @@ class TestFgls:
         weight = np.kron(np.linalg.inv(omega), np.eye(t_eff))
         cov_dense = np.linalg.inv(z.T @ weight @ z)
         coef_dense = cov_dense @ (z.T @ weight @ y)
-        coef, cov = gls_solve(system, omega)
+        coef, gls_matrix = gls_solve(system, omega)
         np.testing.assert_allclose(coef, coef_dense, rtol=1e-10)
-        np.testing.assert_allclose(cov, cov_dense, rtol=1e-10)
+        np.testing.assert_allclose(np.linalg.inv(gls_matrix), cov_dense, rtol=1e-10)
         # the broadcast assembly keeps the arithmetic of the per-block loop
         inv = np.linalg.inv(np.linalg.cholesky(omega))
         inv = inv.T @ inv
