@@ -9,7 +9,7 @@ innovations.  The two components add back to the original series exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,27 +98,80 @@ def fit_deterministic(series: Series, kind: str) -> tuple[float, float]:
     "drift_and_trend" regresses the first differences on a constant and the
     time index t = 1..T by least squares.
     """
+    levels = series.values[None]
+    drift, trend = _fit(levels, np.diff(levels), kind, (series.name,))
+    return float(drift[0, 0]), float(trend[0, 0])
+
+
+def _fit(levels: np.ndarray, diffs: np.ndarray, kind: str,
+         names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(drift, trend), each (..., V, 1), of a (..., V, T) stack of levels whose
+    increments are diffs; names[v] names variable v in errors."""
     _check_kind(kind)
-    diffs = np.diff(series.values)
+    zeros = np.zeros((*diffs.shape[:-1], 1))
     if kind == "none":
-        return 0.0, 0.0
-    if kind == "drift":
-        return float(diffs.mean()), 0.0
-    # drift_and_trend
-    if np.ptp(series.values) == 0.0:
-        raise SingularityError(
-            f"series {series.name!r}: constant series, trend fit is rank-deficient"
-        )
-    t = np.arange(1, diffs.size + 1, dtype=float)
-    design = np.column_stack([np.ones_like(t), t])
-    coef, *_ = np.linalg.lstsq(design, diffs, rcond=None)
-    return float(coef[0]), float(coef[1])
+        return zeros, zeros
+    if kind == "drift":  # the mean's arithmetic, without its call overhead
+        return diffs.sum(axis=-1, keepdims=True) / diffs.shape[-1], zeros
+    constant = levels.max(axis=-1) == levels.min(axis=-1)
+    if constant.any():  # the first constant path, in the order of the leading axes
+        name = names[np.argwhere(constant)[0][-1]]
+        raise SingularityError(f"series {name!r}: constant series, trend fit is rank-deficient")
+    design = np.ones((diffs.shape[-1], 2))  # [1, t] for t = 1..T-1
+    design[:, 1] = np.arange(1, diffs.shape[-1] + 1)
+    coef = np.empty((*diffs.shape[:-1], 2))
+    # one solve per path: with all paths as right-hand sides of one solve, the
+    # coefficients round differently
+    for row, path in zip(coef.reshape(-1, 2), diffs.reshape(-1, diffs.shape[-1])):
+        row[:] = np.linalg.lstsq(design, path, rcond=None)[0]
+    return coef[..., :1], coef[..., 1:]
 
 
-def _deterministic_path(n: int, drift: float, trend: float) -> np.ndarray:
-    """drift*t + trend*t(t+1)/2 for t = 0..n-1: t deterministic increments summed."""
+def _deterministic_path(n: int, drift, trend) -> np.ndarray:
+    """drift*t + trend*t(t+1)/2 for t = 0..n-1: t deterministic increments
+    summed; (..., 1) coefficients give a (..., n) stack of paths."""
     t = np.arange(n, dtype=float)
     return drift * t + trend * t * (t + 1.0) / 2.0
+
+
+def decompose_stack(levels: np.ndarray, kind: str,
+                    names: Sequence[str]) -> tuple[SignedComponents, ...]:
+    """Decompose a (..., V, T) stack of V variables' levels at once.
+
+    Returns one SignedComponents per variable, holding its (..., T) stack of
+    paths; each path's components equal those of ``decompose`` on it alone,
+    bit for bit.  names[v] names variable v.  A constant path under
+    "drift_and_trend" raises the error of the first one in the order of the
+    leading axes, then of the variables.
+    """
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim < 2 or levels.shape[-2] != len(names):
+        raise ValueError(f"levels of shape {levels.shape} do not hold one variable "
+                         f"per name of {tuple(names)}")
+    diffs = levels[..., 1:] - levels[..., :-1]
+    drift, trend = _fit(levels, diffs, kind, names)
+    innovations = diffs - drift - trend * np.arange(1, levels.shape[-1], dtype=float)
+    rises = np.maximum(innovations, 0.0).cumsum(axis=-1)
+    falls = np.minimum(innovations, 0.0).cumsum(axis=-1)
+    negative = (_deterministic_path(levels.shape[-1], drift, trend) + levels[..., :1]) / 2.0
+    positive = negative.copy()
+    positive[..., 1:] += rises
+    negative[..., 1:] += falls
+
+    components = []
+    for v, name in enumerate(names):
+        # a sum of same-signed terms is zero only if every term is: a variable
+        # warns when any of its paths has no rising (falling) innovation
+        warning = None
+        if not (rises[..., v, -1] > 0).all():
+            warning = (f"series {name!r}: no positive innovations; the positive "
+                       "component has zero stochastic variation")
+        elif not (falls[..., v, -1] < 0).all():
+            warning = (f"series {name!r}: no negative innovations; the negative "
+                       "component has zero stochastic variation")
+        components.append(SignedComponents(positive[..., v, :], negative[..., v, :],
+                                           name, warning))
+    return tuple(components)
 
 
 def decompose(series: Series, kind: str) -> SignedComponents:
@@ -128,37 +181,7 @@ def decompose(series: Series, kind: str) -> SignedComponents:
     nonnegative and nonpositive parts; each component is half the
     deterministic path plus the running sum of one signed part.
     """
-    drift, trend = fit_deterministic(series, kind)
-    values = series.values
-    t = np.arange(1, values.size, dtype=float)
-    innovations = np.diff(values) - drift - trend * t
-    e_pos = np.maximum(innovations, 0.0)
-    e_neg = np.minimum(innovations, 0.0)
-
-    half = (_deterministic_path(values.size, drift, trend) + float(values[0])) / 2.0
-    positive = half.copy()
-    positive[1:] += np.cumsum(e_pos)
-    negative = half.copy()
-    negative[1:] += np.cumsum(e_neg)
-
-    warning = None
-    if not np.any(e_pos > 0):
-        warning = (
-            f"series {series.name!r}: no positive innovations; the positive "
-            "component has zero stochastic variation"
-        )
-    elif not np.any(e_neg < 0):
-        warning = (
-            f"series {series.name!r}: no negative innovations; the negative "
-            "component has zero stochastic variation"
-        )
-
-    return SignedComponents(
-        positive=positive,
-        negative=negative,
-        name=series.name,
-        degenerate_warning=warning,
-    )
+    return decompose_stack(series.values[None], kind, (series.name,))[0]
 
 
 def recompose(components: SignedComponents) -> np.ndarray:

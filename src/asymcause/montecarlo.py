@@ -10,12 +10,13 @@ is the null violated in power studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .decomposition import Series, SignedComponents, _deterministic_path, decompose
+from .decomposition import Series, _deterministic_path, decompose_stack
+from .errors import DataError
 from .sure import build_design, fgls_fit, ols_fit
 from .wald import HYPOTHESIS_IDS, catalog, run_catalog
 
@@ -24,6 +25,7 @@ STUDY_ESTIMATORS = ("fgls", "ols")
 # replications per stacked block: larger blocks save little time once the
 # per-call overhead is shared, and each one adds to the peak memory
 STUDY_BLOCK = 16
+VARIABLES = ("var1", "var2")
 
 
 @dataclass(frozen=True)
@@ -64,29 +66,44 @@ class DgpConfig:
                              f"them, got {self.seed!r}")
 
 
-def simulate_dgp(config: DgpConfig) -> list[Series]:
-    """Generate the two random walks of length t_obs from 0; deterministic per seed."""
-    rng = np.random.default_rng(config.seed)
+def _draw(config: DgpConfig, seeds: Sequence[int | tuple[int, ...]]) -> np.ndarray:
+    """(R, 2, T) levels of the two random walks, one replication per seed.
+
+    Replication r draws from its own default_rng(seeds[r]) stream; the
+    scaling, correlation, feedback and sums then run once on the stack, and
+    each replication's levels equal those it has when drawn alone.
+    """
     t_obs = config.t_obs
-    n_inc = t_obs - 1
+    draws = [np.random.default_rng(seed) for seed in seeds]
     if config.error_tail == "gaussian":
-        shocks = rng.standard_normal((n_inc, 2))
+        shocks = np.stack([rng.standard_normal((t_obs - 1, 2)) for rng in draws])
     else:
         df = config.error_df
-        shocks = rng.standard_t(df, size=(n_inc, 2)) / np.sqrt(df / (df - 2.0))
+        shocks = np.stack([rng.standard_t(df, size=(t_obs - 1, 2)) for rng in draws])
+        shocks /= np.sqrt(df / (df - 2.0))
     rho = config.error_correlation
-    if rho:
+    if rho:  # a stacked product runs one BLAS call per replication, as when drawn alone
         shocks = shocks @ np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]])).T
     if config.causal_feedback is not None:
         # lagged positive innovations of variable 2 feed variable 1's increment
-        shocks[1:, 0] += config.causal_feedback * np.maximum(shocks[:-1, 1], 0.0)
-    out = []
-    for i in range(2):
-        path = _deterministic_path(t_obs, config.drift[i], config.trend[i])
-        levels = np.zeros(t_obs)  # path[0] is -0.0 when drift and trend are negative
-        levels[1:] = path[1:] + np.cumsum(shocks[:, i])
-        out.append(Series(values=levels, name=f"var{i + 1}"))
-    return out
+        shocks[:, 1:, 0] += config.causal_feedback * np.maximum(shocks[:, :-1, 1], 0.0)
+    # zero first levels: path[:, 0] is -0.0 when drift and trend are negative
+    levels = np.zeros((len(draws), 2, t_obs))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        path = _deterministic_path(t_obs, np.array(config.drift)[:, None],
+                                   np.array(config.trend)[:, None])
+        levels[..., 1:] = path[:, 1:] + shocks.cumsum(axis=1).swapaxes(1, 2)
+    finite = np.isfinite(levels)
+    if not finite.all():  # the first replication's error, as its Series raises it
+        _, variable, index = np.argwhere(~finite)[0]
+        raise DataError(f"series {VARIABLES[variable]!r}: non-finite value at index {index}")
+    return levels
+
+
+def simulate_dgp(config: DgpConfig) -> list[Series]:
+    """Generate the two random walks of length t_obs from 0; deterministic per seed."""
+    return [Series(values, name=name)
+            for values, name in zip(_draw(config, [config.seed])[0], VARIABLES)]
 
 
 def empirical_size(
@@ -120,18 +137,13 @@ def empirical_size(
     rejections = {hid: 0 for hid in HYPOTHESIS_IDS}
     specs = None  # every replication has the same layout: one catalog
     for start in range(0, reps, STUDY_BLOCK):
-        block = range(start, min(start + STUDY_BLOCK, reps))
-        pairs = [[decompose(s, deterministic)
-                  for s in simulate_dgp(replace(config, seed=base_seed + (rep,)))]
-                 for rep in block]
-        stacked = [SignedComponents(np.stack([pair[i].positive for pair in pairs]),
-                                    np.stack([pair[i].negative for pair in pairs]),
-                                    pairs[0][i].name) for i in range(2)]
-        system = build_design(*stacked, *fixed_lags, extra_lags)
+        seeds = [base_seed + (rep,) for rep in range(start, min(start + STUDY_BLOCK, reps))]
+        components = decompose_stack(_draw(config, seeds), deterministic, VARIABLES)
+        system = build_design(*components, *fixed_lags, extra_lags)
         fit = fgls_fit(system) if estimator == "fgls" else ols_fit(system)
         if specs is None:
             specs = catalog(system)
         for result in run_catalog(fit, specs):
             rejections[result.hypothesis.id] += int(np.count_nonzero(result.p_value < level))
-        del pairs, stacked, system, fit  # the next block is built without them
+        del components, system, fit  # the next block is built without them
     return {hid: rejections[hid] / reps for hid in HYPOTHESIS_IDS}

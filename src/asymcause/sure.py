@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import SignedComponents
-from .errors import InsufficientDataError, NotPositiveDefiniteError, SingularityError
+from .errors import (DataError, InsufficientDataError, NotPositiveDefiniteError,
+                     SingularityError)
 
 # per-parameter penalty of each lag-selection criterion at sample size t_c
 _PENALTIES = {"aic": lambda t_c: 2.0, "sbc": np.log,
@@ -103,10 +104,14 @@ class SureSystem:
         # A stacked product runs the same BLAS call on each system of the stack.
         xs = [np.ascontiguousarray(design[..., sl]) for sl in slices]
         ys = [y[..., None] for y in np.moveaxis(targets, -2, 0)]
-        object.__setattr__(self, "gram", _assemble([[a.swapaxes(-1, -2) @ b for b in xs]
-                                                    for a in xs]))
-        object.__setattr__(self, "xty", _assemble([[x.swapaxes(-1, -2) @ y for y in ys]
-                                                   for x in xs]))
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            gram = _assemble([[a.swapaxes(-1, -2) @ b for b in xs] for a in xs])
+            xty = _assemble([[x.swapaxes(-1, -2) @ y for y in ys] for x in xs])
+        if not (np.isfinite(gram).all() and np.isfinite(xty).all()):
+            raise DataError("the data are too large: their cross products overflow "
+                            "double precision; rescale them, for example with --log")
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "xty", xty)
 
     @property
     def effective_sample(self) -> int:

@@ -181,18 +181,22 @@ def wald_test(estimate: CoefficientEstimate, spec: HypothesisSpec) -> WaldResult
             f"{spec.id}: restriction has {r.shape[1]} columns for "
             f"{c.shape[-1]} coefficients"
         )
-    rc = r @ c[..., None]
-    s = r @ estimate.covariance @ r.T
-    s = (s + s.swapaxes(-1, -2)) / 2.0
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise SingularityError(
-            f"{spec.id}: R Var(C) R' is not positive definite "
-            "(degenerate restriction set)"
-        ) from None
-    half = np.linalg.solve(chol, rc)
-    statistic = (half.swapaxes(-1, -2) @ half)[..., 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        rc = r @ c[..., None]
+        s = r @ estimate.covariance @ r.T
+        s = (s + s.swapaxes(-1, -2)) / 2.0
+        try:
+            chol = np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            raise SingularityError(
+                f"{spec.id}: R Var(C) R' is not positive definite "
+                "(degenerate restriction set)"
+            ) from None
+        half = np.linalg.solve(chol, rc)
+        statistic = (half.swapaxes(-1, -2) @ half)[..., 0, 0]
+    if not np.isfinite(statistic).all():
+        raise SingularityError(f"{spec.id}: the Wald statistic is not finite "
+                               "(the estimate or its covariance overflows)")
     if np.ndim(statistic) == 0:
         statistic = float(statistic)
         return WaldResult(statistic, chisq_sf(statistic, spec.dof), spec)

@@ -538,6 +538,28 @@ class TestMainEntry:
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
         assert err.count("\n") == 1
 
+    OVERFLOW = ("error: the data are too large: their cross products overflow double "
+                "precision; rescale them, for example with --log\n")
+
+    def test_an_overflowing_study_exits_2_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mc-size", "--reps", "3", "--T", "60", "--trend", "1e300", "0"]) == 2
+        assert capsys.readouterr().err == self.OVERFLOW
+
+    def test_overflowing_levels_exit_2_without_warnings(self, tmp_path, capsys):
+        levels = 1e160 * np.exp(np.cumsum(
+            0.01 * np.random.default_rng(8).standard_normal((120, 2)), axis=0))
+        inputs = [tmp_path / f"{name}.csv" for name in ("a", "b")]
+        for path, column in zip(inputs, levels.T):
+            path.write_text("DATE,VALUE\n" + "".join(
+                f"{t},{v!r}\n" for t, v in enumerate(column.tolist(), 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--input", *map(str, inputs), "--fixed-lags", "1", "1",
+                         "--estimator", "fgls"]) == 2
+        assert capsys.readouterr().err == self.OVERFLOW
+
     @pytest.mark.parametrize("lags, message", [
         ([], "lag selection: the negative design is rank-deficient at lag 1 of 'up' "),
         (["--fixed-lags", "1", "1"], r"equation Z-1 \(up\): design matrix"),

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from asymcause import Series, decompose
-from asymcause.decomposition import SignedComponents, fit_deterministic, recompose
+from asymcause.decomposition import (SignedComponents, decompose_stack, fit_deterministic,
+                                     recompose)
 from asymcause.errors import DataError, SingularityError
 
 DRIFT, NONE, TREND = "drift", "none", "drift_and_trend"
@@ -136,6 +137,50 @@ class TestDecompose:
         np.testing.assert_allclose(
             moved.negative, base.negative + shift / 2.0, atol=1e-10
         )
+
+
+class TestDecomposeStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(3, 60)),
+        kind=st.sampled_from([NONE, DRIFT, TREND]),
+        monotone=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_stack_equals_its_paths_one_by_one(self, shape, kind, monotone, seed):
+        # every path's components are those of decompose on it alone, bit for
+        # bit; a variable warns when any of its paths does
+        steps = np.random.default_rng(seed).standard_normal(shape)
+        levels = np.cumsum(np.abs(steps) if monotone else steps, axis=-1)
+        names = tuple(f"v{v}" for v in range(shape[1]))
+        stack = decompose_stack(levels, kind, names)
+        assert len(stack) == shape[1]
+        for v, (name, comps) in enumerate(zip(names, stack)):
+            alone = [decompose(Series(levels[r, v], name=name), kind) for r in range(shape[0])]
+            np.testing.assert_array_equal(comps.positive, [c.positive for c in alone])
+            np.testing.assert_array_equal(comps.negative, [c.negative for c in alone])
+            assert comps.name == name
+            warned = [c.degenerate_warning for c in alone if c.degenerate_warning]
+            assert (comps.degenerate_warning is None) == (not warned)
+            if comps.degenerate_warning:
+                assert comps.degenerate_warning in warned
+
+    def test_the_first_constant_path_names_its_variable(self):
+        # paths in the order of the leading axis, then of the variables
+        levels = np.random.default_rng(3).standard_normal((4, 2, 30)).cumsum(axis=-1)
+        levels[2, 1] = 5.0
+        levels[3, 0] = 5.0
+        with pytest.raises(SingularityError, match="^series 'b': constant series"):
+            decompose_stack(levels, TREND, ("a", "b"))
+        for kind in (NONE, DRIFT):
+            a, b = decompose_stack(levels, kind, ("a", "b"))
+            np.testing.assert_array_equal(b.positive[2], np.full(30, 2.5))
+
+    def test_one_name_per_variable(self):
+        for levels, names in [(np.zeros(5), ("a",)), (np.zeros((2, 5)), ("a",)),
+                              (np.zeros((3, 2, 5)), ("a", "b", "c"))]:
+            with pytest.raises(ValueError, match="one variable per name"):
+                decompose_stack(levels, DRIFT, names)
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """DGP simulator and rejection-rate studies."""
 
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 import asymcause.montecarlo as montecarlo
 import asymcause.wald
-from asymcause.decomposition import DETERMINISTIC_KINDS, Series, decompose
-from asymcause.errors import AsymCauseError, SingularityError
+from asymcause.decomposition import DETERMINISTIC_KINDS, decompose
+from asymcause.errors import AsymCauseError, DataError, SingularityError
 from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
 from asymcause.sure import build_design, fgls_fit, ols_fit
 from asymcause.wald import HYPOTHESIS_IDS, catalog, run_catalog
@@ -31,6 +32,17 @@ def reference_study(config, reps, deterministic, fixed_lags, extra_lags, estimat
                      fit.iterations, fit.converged))
     statistics, p_values, iterations, converged = map(np.array, zip(*rows))
     return statistics, p_values, iterations, converged
+
+
+def constant_paths(draw, constant):
+    """The draw with variable constant[r] of replication r held at zero."""
+    def patched(config, seeds):
+        levels = draw(config, seeds)
+        for row, seed in zip(levels, seeds):
+            if seed[-1] in constant:
+                row[constant[seed[-1]]] = 0.0
+        return levels
+    return patched
 
 
 class TestDgpConfig:
@@ -143,6 +155,66 @@ class TestSimulateDgp:
         assert abs(reverse) < 0.05
 
 
+def draw_alone(config):
+    """One replication's (2, T) levels, drawn and summed on its own."""
+    rng = np.random.default_rng(config.seed)
+    if config.error_tail == "gaussian":
+        shocks = rng.standard_normal((config.t_obs - 1, 2))
+    else:
+        df = config.error_df
+        shocks = rng.standard_t(df, size=(config.t_obs - 1, 2)) / np.sqrt(df / (df - 2.0))
+    rho = config.error_correlation
+    if rho:
+        shocks = shocks @ np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]])).T
+    if config.causal_feedback is not None:
+        shocks[1:, 0] += config.causal_feedback * np.maximum(shocks[:-1, 1], 0.0)
+    t = np.arange(config.t_obs, dtype=float)
+    levels = np.zeros((2, config.t_obs))
+    for i in range(2):
+        path = config.drift[i] * t + config.trend[i] * t * (t + 1.0) / 2.0
+        levels[i, 1:] = path[1:] + np.cumsum(shocks[:, i])
+    return levels
+
+
+class TestStackedDraw:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        tail=st.sampled_from(["gaussian", "t"]),
+        rho=st.sampled_from([0.0, 0.6, -0.35]),
+        feedback=st.sampled_from([None, 0.4, -1.5]),
+        drift=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+        trend=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        t_obs=st.integers(50, 90),
+        reps=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_stack_equals_its_replications_drawn_alone(
+            self, tail, rho, feedback, drift, trend, t_obs, reps, seed):
+        # each replication's levels are those of its own stream drawn alone,
+        # and those of simulate_dgp on its seed, bit for bit
+        config = DgpConfig(drift=drift, trend=trend, error_correlation=rho, error_tail=tail,
+                           error_df=4.5, causal_feedback=feedback, t_obs=t_obs, seed=seed)
+        seeds = [(seed, rep) for rep in range(reps)]
+        stack = montecarlo._draw(config, seeds)
+        assert stack.shape == (reps, 2, t_obs)
+        for levels, rep_seed in zip(stack, seeds):
+            rep_config = replace(config, seed=rep_seed)
+            alone = draw_alone(rep_config)
+            np.testing.assert_array_equal(levels, alone)
+            np.testing.assert_array_equal(np.signbit(levels), np.signbit(alone))
+            series = simulate_dgp(rep_config)
+            np.testing.assert_array_equal(levels, [s.values for s in series])
+            assert [s.name for s in series] == ["var1", "var2"]
+
+    def test_a_non_finite_level_raises_the_first_replications_error(self):
+        # an overflowing trend is an error of its own, with no warning
+        config = DgpConfig(trend=(0.0, 1e308), t_obs=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^series 'var2': non-finite value at index 1$"):
+                montecarlo._draw(config, [(0, 0), (0, 1)])
+
+
 class TestEmpiricalSize:
     def test_rerun_reproduces_rates(self):
         config = DgpConfig(drift=(0.2, 0.1), t_obs=120, seed=31)
@@ -238,21 +310,25 @@ class TestEmpiricalSize:
         # replication 5's second series is constant: the study raises that
         # replication's own error, naming its equation and regressor
         config = DgpConfig(drift=(0.1, 0.1), t_obs=80, seed=3)
-        original = montecarlo.simulate_dgp
-
-        def degenerate(rep_config):
-            series = original(rep_config)
-            if rep_config.seed[-1] == 5:
-                series[1] = Series(np.zeros(rep_config.t_obs), name=series[1].name)
-            return series
-
-        bad = degenerate(replace(config, seed=(3, 5)))
+        monkeypatch.setattr(montecarlo, "_draw", constant_paths(montecarlo._draw, {5: 1}))
+        bad = simulate_dgp(replace(config, seed=(3, 5)))
         with pytest.raises(SingularityError) as own:
             ols_fit(build_design(*[decompose(s, "drift") for s in bad], 1, 1, 1))
         assert str(own.value) == ("equation Z+1 (var1): design matrix is rank-deficient "
                                   "at beta+_2,1, a lag of 'var2'")
-        monkeypatch.setattr(montecarlo, "simulate_dgp", degenerate)
         monkeypatch.setattr(montecarlo, "STUDY_BLOCK", block)
         with pytest.raises(SingularityError) as study:
             empirical_size(config, reps=12, estimator=estimator)
         assert str(study.value) == str(own.value)
+
+    @pytest.mark.parametrize("block", [1, 4, 16])
+    def test_the_first_constant_replication_fails_a_trend_study(self, monkeypatch, block):
+        # replication 3's var2 and replication 7's var1 are constant: as in a
+        # loop over the replications, the study raises replication 3's error
+        config = DgpConfig(drift=(0.1, 0.1), t_obs=80, seed=3)
+        monkeypatch.setattr(montecarlo, "_draw", constant_paths(montecarlo._draw, {3: 1, 7: 0}))
+        monkeypatch.setattr(montecarlo, "STUDY_BLOCK", block)
+        with pytest.raises(SingularityError) as study:
+            empirical_size(config, reps=12, deterministic="drift_and_trend")
+        assert str(study.value) == ("series 'var2': constant series, trend fit is "
+                                    "rank-deficient")

@@ -1,6 +1,7 @@
 """Restriction builder, Wald statistic identities, chi-square survival."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -50,6 +51,15 @@ def single_coefficient_estimate(value, variance):
         omega=np.array([[1.0]]),
         residuals=np.zeros((10, 1)),
         estimator="ols",
+    )
+
+
+def stack_of(estimate, size):
+    """A stack of size copies of a single-system estimate."""
+    return CoefficientEstimate(
+        **{name: np.stack([getattr(estimate, name)] * size)
+           for name in ("coefficients", "covariance", "omega", "residuals")},
+        estimator=estimate.estimator,
     )
 
 
@@ -292,6 +302,20 @@ class TestWaldTest:
         spec = HypothesisSpec("H1", np.array([[1.0, 0.0]]), "x")
         with pytest.raises(SingularityError, match="degenerate"):
             wald_test(estimate, spec)
+
+    @pytest.mark.parametrize("value, variance", [(1e200, 1e-200), (np.inf, 1.0)])
+    def test_a_statistic_that_is_not_finite_names_its_hypothesis(self, value, variance):
+        # a statistic that overflows, or an infinite estimate, is an error of
+        # its own, not a chi-square argument check; no warning leaks
+        spec = HypothesisSpec("H4", np.array([[1.0]]), "x")
+        for estimate in (single_coefficient_estimate(value, variance),
+                         stack_of(single_coefficient_estimate(value, variance), 3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularityError) as caught:
+                    wald_test(estimate, spec)
+            assert str(caught.value) == ("H4: the Wald statistic is not finite "
+                                         "(the estimate or its covariance overflows)")
 
     def test_dimension_mismatch(self):
         estimate = single_coefficient_estimate(1.0, 1.0)
