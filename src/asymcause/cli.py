@@ -24,10 +24,12 @@ import numpy as np
 
 from . import __version__
 from .decomposition import DETERMINISTIC_KINDS, Series, _check_kind, decompose
-from .errors import AsymCauseError, DataError, InsufficientDataError
-from .mgarch import arch_lm_diag, fit_sure_garch_t
+from .errors import (AsymCauseError, DataError, InsufficientDataError,
+                     NotPositiveDefiniteError)
+from .mgarch import GarchFit, arch_lm_diag, fit_sure_garch_t
 from .montecarlo import ERROR_TAILS, STUDY_ESTIMATORS, DgpConfig, empirical_size
-from .sure import CRITERIA, build_design, fgls_fit, lag_order_table
+from .sure import (CRITERIA, CoefficientEstimate, SureSystem, build_design, fgls_fit,
+                   lag_order_table)
 from .wald import catalog, run_catalog
 
 P_VALUE_FLOOR = 1e-5  # below this the text renderer prints "< 0.00001"
@@ -219,6 +221,21 @@ def _log_series(series: Series) -> Series:
     )
 
 
+def _fit_garch_t(system: SureSystem, fgls: CoefficientEstimate) -> GarchFit:
+    """The GARCH-t fit from the FGLS estimate; an AsymCauseError when the fit
+    fails or when the covariance of the causal coefficients, the block that
+    every catalog null restricts, is not positive definite."""
+    fit = fit_sure_garch_t(system, init=fgls)
+    causal = np.flatnonzero([entry.causal for entry in system.layout])
+    try:
+        np.linalg.cholesky(fit.mean.covariance[np.ix_(causal, causal)])
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(
+            "the garch_t covariance of the causal coefficients (inverse information) "
+            f"is not positive definite; the fit stopped on: {fit.stop}") from None
+    return fit
+
+
 def run_pipeline(config: AnalysisConfig) -> Report:
     """Load, decompose, estimate and test; assemble the full report."""
     first, second = (
@@ -275,16 +292,27 @@ def run_pipeline(config: AnalysisConfig) -> Report:
                 f"ARCH LM gate not run, fgls kept: {exc}")
             estimator_used = "fgls"
     if estimator_used == "garch_t":
+        failure = None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")  # each distinct warning, once
-            garch_fit = fit_sure_garch_t(system, init=fgls)
+            try:
+                garch_fit = _fit_garch_t(system, fgls)
+            except AsymCauseError as exc:
+                if config.estimator == "garch_t":
+                    raise
+                failure = exc  # under auto, FGLS stays valid: keep it
         for warning in caught:
             diagnostics.setdefault("warnings", []).append(str(warning.message))
-        estimate = garch_fit.mean
-        fit_extra = {"loglik": float(garch_fit.loglik), "nu": float(garch_fit.garch.nu),
-                     "gradient_max": garch_fit.gradient_max, "stop": garch_fit.stop,
-                     "n_evals": garch_fit.n_evals, "n_gradients": garch_fit.n_gradients,
-                     "information_condition": garch_fit.information_condition}
+        if failure is not None:
+            diagnostics.setdefault("warnings", []).append(
+                f"the garch_t fit failed, fgls kept: {failure}")
+            estimator_used = "fgls"
+        else:
+            estimate = garch_fit.mean
+            fit_extra = {"loglik": float(garch_fit.loglik), "nu": float(garch_fit.garch.nu),
+                         "gradient_max": garch_fit.gradient_max, "stop": garch_fit.stop,
+                         "n_evals": garch_fit.n_evals, "n_gradients": garch_fit.n_gradients,
+                         "information_condition": garch_fit.information_condition}
     if not estimate.converged:
         stop = fit_extra.get("stop", f"GLS solve limit of {estimate.iterations} reached")
         diagnostics.setdefault("warnings", []).append(

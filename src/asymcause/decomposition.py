@@ -98,33 +98,29 @@ def fit_deterministic(series: Series, kind: str) -> tuple[float, float]:
     "drift_and_trend" regresses the first differences on a constant and the
     time index t = 1..T by least squares.
     """
-    levels = series.values[None]
-    drift, trend = _fit(levels, np.diff(levels), kind, (series.name,))
+    drift, trend = _fit(np.diff(series.values[None]), kind, (series.name,))
     return float(drift[0, 0]), float(trend[0, 0])
 
 
-def _fit(levels: np.ndarray, diffs: np.ndarray, kind: str,
-         names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(drift, trend), each (..., V, 1), of a (..., V, T) stack of levels whose
-    increments are diffs; names[v] names variable v in errors."""
+def _fit(diffs: np.ndarray, kind: str, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(drift, trend), each (..., V, 1), of a (..., V, T-1) stack of increments;
+    names[v] names variable v in errors."""
     _check_kind(kind)
     zeros = np.zeros((*diffs.shape[:-1], 1))
     if kind == "none":
         return zeros, zeros
-    if kind == "drift":  # the mean's arithmetic, without its call overhead
-        return diffs.sum(axis=-1, keepdims=True) / diffs.shape[-1], zeros
-    constant = levels.max(axis=-1) == levels.min(axis=-1)
+    mean = diffs.sum(axis=-1, keepdims=True) / diffs.shape[-1]  # np.mean without its overhead
+    if kind == "drift":
+        return mean, zeros
+    constant = ~diffs.any(axis=-1)
     if constant.any():  # the first constant path, in the order of the leading axes
         name = names[np.argwhere(constant)[0][-1]]
         raise SingularityError(f"series {name!r}: constant series, trend fit is rank-deficient")
-    design = np.ones((diffs.shape[-1], 2))  # [1, t] for t = 1..T-1
-    design[:, 1] = np.arange(1, diffs.shape[-1] + 1)
-    coef = np.empty((*diffs.shape[:-1], 2))
-    # one solve per path: with all paths as right-hand sides of one solve, the
-    # coefficients round differently
-    for row, path in zip(coef.reshape(-1, 2), diffs.reshape(-1, diffs.shape[-1])):
-        row[:] = np.linalg.lstsq(design, path, rcond=None)[0]
-    return coef[..., :1], coef[..., 1:]
+    # least squares on [1, t], centred; t - t.mean() and its squares' sum are exact
+    t = np.arange(1, diffs.shape[-1] + 1, dtype=float)
+    centred = t - t.mean()
+    trend = (centred * diffs).sum(axis=-1, keepdims=True) / (centred @ centred)
+    return mean - trend * t.mean(), trend
 
 
 def _deterministic_path(n: int, drift, trend) -> np.ndarray:
@@ -149,7 +145,7 @@ def decompose_stack(levels: np.ndarray, kind: str,
         raise ValueError(f"levels of shape {levels.shape} do not hold one variable "
                          f"per name of {tuple(names)}")
     diffs = levels[..., 1:] - levels[..., :-1]
-    drift, trend = _fit(levels, diffs, kind, names)
+    drift, trend = _fit(diffs, kind, names)
     innovations = diffs - drift - trend * np.arange(1, levels.shape[-1], dtype=float)
     rises = np.maximum(innovations, 0.0).cumsum(axis=-1)
     falls = np.minimum(innovations, 0.0).cumsum(axis=-1)

@@ -453,6 +453,9 @@ def fit_sure_garch_t(
     The reported covariance of the mean coefficients is the corresponding
     block of the inverse information at the returned point.
     """
+    if system.stack_shape:
+        raise ValueError(f"fit_sure_garch_t fits one system, not a stack of shape "
+                         f"{system.stack_shape}")
     base = init if init is not None else fgls_fit(system)
     k_mean = system.n_coefficients
     n = system.n_equations
@@ -475,9 +478,8 @@ def fit_sure_garch_t(
     try:
         info_inv = np.linalg.inv(result.hessian)
     except np.linalg.LinAlgError:
-        raise SingularityError(
-            "observed information matrix is not invertible"
-        ) from None
+        raise SingularityError("observed information matrix is not invertible; "
+                               f"the fit stopped on: {result.message}") from None
     mean_cov = info_inv[:k_mean, :k_mean]
     mean_estimate = CoefficientEstimate(
         coefficients=mean_hat,

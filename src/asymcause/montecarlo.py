@@ -81,9 +81,9 @@ def _draw(config: DgpConfig, seeds: Sequence[int | tuple[int, ...]]) -> np.ndarr
         df = config.error_df
         shocks = np.stack([rng.standard_t(df, size=(t_obs - 1, 2)) for rng in draws])
         shocks /= np.sqrt(df / (df - 2.0))
-    rho = config.error_correlation
-    if rho:  # a stacked product runs one BLAS call per replication, as when drawn alone
-        shocks = shocks @ np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]])).T
+    rho = config.error_correlation  # at rho = 0 the factor is the identity: same bits
+    # a stacked product runs one BLAS call per replication, as when drawn alone
+    shocks = shocks @ np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]])).T
     if config.causal_feedback is not None:
         # lagged positive innovations of variable 2 feed variable 1's increment
         shocks[:, 1:, 0] += config.causal_feedback * np.maximum(shocks[:, :-1, 1], 0.0)

@@ -279,6 +279,10 @@ def lag_order_table(
         raise ValueError(f"unknown criterion {criterion!r}; expected one of {CRITERIA}")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
+    stack = first.positive.shape[:-1] or second.positive.shape[:-1]
+    if stack:
+        raise ValueError(f"lag selection takes one pair of components, not a stack of "
+                         f"shape {stack}")
     names = (first.name or "var1", second.name or "var2")
     blocks = np.stack([np.column_stack([first.positive, second.positive]),
                        np.column_stack([first.negative, second.negative])])

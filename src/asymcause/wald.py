@@ -197,11 +197,9 @@ def wald_test(estimate: CoefficientEstimate, spec: HypothesisSpec) -> WaldResult
     if not np.isfinite(statistic).all():
         raise SingularityError(f"{spec.id}: the Wald statistic is not finite "
                                "(the estimate or its covariance overflows)")
-    if np.ndim(statistic) == 0:
-        statistic = float(statistic)
-        return WaldResult(statistic, chisq_sf(statistic, spec.dof), spec)
-    p_value = [chisq_sf(x, spec.dof) for x in statistic.ravel().tolist()]
-    return WaldResult(statistic, np.reshape(p_value, statistic.shape), spec)
+    p_value = np.array([chisq_sf(x, spec.dof) for x in statistic.ravel().tolist()])
+    p_value = p_value.reshape(statistic.shape)
+    return WaldResult(statistic[()], p_value[()], spec)  # [()]: floats for one system
 
 
 def run_catalog(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymcause import cli, optim, sure
+from asymcause import cli, mgarch, optim, sure
 from asymcause.cli import (
     AnalysisConfig,
     Report,
@@ -23,11 +23,37 @@ from asymcause.cli import (
     run_pipeline,
 )
 from asymcause.decomposition import Series
-from asymcause.errors import DataError
+from asymcause.errors import DataError, SingularityError
 from asymcause.montecarlo import DgpConfig, empirical_size, simulate_dgp
 from asymcause.optim import GTOL
 
 from conftest import garch_pair_levels
+
+
+def failing_garch_t(failure):
+    """A stand-in for cli.fit_sure_garch_t whose fit fails as on four run-fgls
+    pool pairs: it raises, or it stops unconverged with an indefinite
+    covariance of the causal coefficients."""
+    def fit(system, init):
+        if failure == "raises":
+            raise SingularityError("observed information matrix is not invertible; "
+                                   "the fit stopped on: maximum iterations reached")
+        real = mgarch.fit_sure_garch_t(system, init=init)
+        covariance = real.mean.covariance.copy()
+        first_causal = next(k for k, entry in enumerate(system.layout) if entry.causal)
+        covariance[first_causal, first_causal] *= -1.0
+        mean = dataclasses.replace(real.mean, covariance=covariance, converged=False)
+        return dataclasses.replace(real, mean=mean, stop="curvature refresh limit reached")
+    return fit
+
+
+GARCH_T_FAILURES = {
+    "raises": "observed information matrix is not invertible; the fit stopped on: "
+              "maximum iterations reached",
+    "indefinite": "the garch_t covariance of the causal coefficients (inverse "
+                  "information) is not positive definite; the fit stopped on: "
+                  "curvature refresh limit reached",
+}
 
 
 def write_series_csv(path, series, transform=None, date_header="DATE",
@@ -327,6 +353,36 @@ class TestPipeline:
         assert report.diagnostics["warnings"][-1] == (
             "the garch_t estimate did not converge (curvature refresh limit reached); "
             "its standard errors and Wald tests are unreliable")
+
+    @pytest.mark.parametrize("failure", sorted(GARCH_T_FAILURES))
+    def test_auto_keeps_fgls_when_the_garch_t_fit_fails(self, garch_csvs, monkeypatch,
+                                                         failure):
+        fgls = run_pipeline(AnalysisConfig(inputs=tuple(garch_csvs), fixed_lags=(1, 1),
+                                           estimator="fgls"))
+        monkeypatch.setattr(cli, "fit_sure_garch_t", failing_garch_t(failure))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_pipeline(AnalysisConfig(inputs=tuple(garch_csvs),
+                                                 fixed_lags=(1, 1)))
+        assert report.diagnostics["arch_lm"]["p_value"] < cli.ARCH_GATE_LEVEL
+        assert report.provenance["estimator"] == "fgls"
+        assert report.diagnostics["estimation"] == fgls.diagnostics["estimation"]
+        assert report.estimates == fgls.estimates
+        assert report.hypotheses == fgls.hypotheses
+        assert report.diagnostics["warnings"][-1] == (
+            f"the garch_t fit failed, fgls kept: {GARCH_T_FAILURES[failure]}")
+
+    @pytest.mark.parametrize("failure", sorted(GARCH_T_FAILURES))
+    def test_a_forced_garch_t_fit_that_fails_exits_2(self, garch_csvs, monkeypatch,
+                                                      capsys, failure):
+        # the error names the covariance or the fit, not a hypothesis id
+        monkeypatch.setattr(cli, "fit_sure_garch_t", failing_garch_t(failure))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["run", "--input", *garch_csvs, "--fixed-lags", "1", "1",
+                         "--estimator", "garch_t"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {GARCH_T_FAILURES[failure]}\n"
 
 
 JSON_VALUES = st.recursive(

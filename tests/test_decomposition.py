@@ -1,13 +1,16 @@
 """Decomposition: hand oracles, sign invariants, recomposition identity."""
 
+from unittest import mock
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from asymcause import Series, decompose
-from asymcause.decomposition import (SignedComponents, decompose_stack, fit_deterministic,
-                                     recompose)
+from asymcause import Series, decompose, decomposition
+from asymcause.decomposition import (SignedComponents, _fit, decompose_stack,
+                                     fit_deterministic, recompose)
 from asymcause.errors import DataError, SingularityError
 
 DRIFT, NONE, TREND = "drift", "none", "drift_and_trend"
@@ -18,6 +21,20 @@ def deterministic_half(values: np.ndarray, spec: str) -> np.ndarray:
     drift, trend = fit_deterministic(Series(values=values), spec)
     t = np.arange(values.size, dtype=float)
     return (drift * t + trend * t * (t + 1) / 2 + values[0]) / 2.0
+
+
+def trend_fit_oracle(diffs: np.ndarray) -> tuple:
+    """(drift, trend) of the least-squares fit of diffs on [1, t], t = 1..n,
+    from the normal equations solved at 40 digits."""
+    with mpmath.workdps(40):
+        n = len(diffs)
+        t = [mpmath.mpf(i) for i in range(1, n + 1)]
+        y = [mpmath.mpf(float(v)) for v in diffs]
+        normal = mpmath.matrix([[n, mpmath.fsum(t)],
+                                [mpmath.fsum(t), mpmath.fsum(i * i for i in t)]])
+        right = mpmath.matrix([mpmath.fsum(y), mpmath.fsum(i * v for i, v in zip(t, y))])
+        drift, trend = mpmath.lu_solve(normal, right)
+        return drift, trend
 
 
 class TestFitDeterministic:
@@ -51,6 +68,39 @@ class TestFitDeterministic:
     def test_constant_series_with_trend_errors(self):
         with pytest.raises(SingularityError, match="constant"):
             fit_deterministic(Series(values=np.full(10, 3.0)), TREND)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t_obs=st.integers(3, 3000),
+        paths=st.integers(1, 3),
+        offset=st.floats(-1e4, 1e4),
+        drift=st.floats(-10.0, 10.0),
+        trend=st.floats(-0.1, 0.1),
+        scale=st.floats(1e-3, 1e2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trend_fit_matches_a_40_digit_oracle(self, t_obs, paths, offset, drift,
+                                                  trend, scale, seed):
+        # the fit that decompose_stack runs on a stack, and fit_deterministic on
+        # each path alone, within 1e-14 RMS increments of the exact fit: the
+        # drift, and the trend over the sample's T - 1 steps
+        t = np.arange(1, t_obs)
+        steps = drift + trend * t + scale * np.random.default_rng(seed).standard_normal(
+            (paths, 2, t_obs - 1))
+        levels = offset + np.concatenate([np.zeros((paths, 2, 1)), steps.cumsum(-1)], -1)
+        fits = []
+        with mock.patch.object(decomposition, "_fit",
+                               lambda *args: fits.append(_fit(*args)) or fits[-1]):
+            decompose_stack(levels, TREND, ("a", "b"))
+        stacked_drift, stacked_trend = fits[0]
+        for index in np.ndindex(paths, 2):
+            alone = fit_deterministic(Series(levels[index]), TREND)
+            assert alone == (stacked_drift[index][0], stacked_trend[index][0])
+            diffs = np.diff(levels[index])
+            rms = float(np.sqrt(np.mean(diffs**2)))
+            exact_drift, exact_trend = trend_fit_oracle(diffs)
+            assert abs(alone[0] - exact_drift) <= 1e-14 * rms
+            assert (t_obs - 1) * abs(alone[1] - exact_trend) <= 1e-14 * rms
 
 
 class TestDecompose:

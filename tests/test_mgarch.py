@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcause import fgls_fit, optim
-from asymcause.decomposition import Series, decompose
+from asymcause.decomposition import Series, decompose, decompose_stack
 from asymcause.errors import InsufficientDataError, LikelihoodError, SingularityError
 from asymcause.mgarch import (
     GarchSpec,
@@ -421,6 +421,15 @@ class TestSimulator:
 
 
 class TestFit:
+    def test_a_stack_of_systems_is_rejected_by_its_shape(self):
+        # one system per fit: a stack used to fail inside numpy ("m has more
+        # than 2 dimensions")
+        levels = np.stack([garch_pair_levels().T] * 2)
+        system = build_design(*decompose_stack(levels, "drift", ("a", "b")), 1, 1, 1)
+        with pytest.raises(ValueError, match=r"^fit_sure_garch_t fits one system, "
+                                             r"not a stack of shape \(2,\)$"):
+            fit_sure_garch_t(system)
+
     def test_homoskedastic_data_yields_no_arch_effect(self):
         # with alpha ~ 0 the beta loading is weakly identified (the variance
         # recursion is flat), so the ARCH loading and the likelihood parity

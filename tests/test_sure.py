@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcause import Series, build_design, decompose, fgls_fit
-from asymcause.decomposition import SignedComponents
+from asymcause.decomposition import SignedComponents, decompose_stack
 from asymcause.errors import (
     InsufficientDataError,
     NotPositiveDefiniteError,
@@ -170,6 +170,17 @@ class TestSelectLags:
                 f"leaves {2 * p_max + 2} observations; lag selection needs "
                 f"{1 + 2 * p_max} parameters per equation plus 2 residual")):
             lag_order_table(*first_rows(comps, smallest - 1), p_max, "sbc")
+
+    @pytest.mark.parametrize("pairs", [16, 400])
+    def test_a_stack_of_pairs_is_rejected_by_its_shape(self, pairs):
+        # one pair per call: a stack was misread as one pair, whose error spoke
+        # of too few observations (16 pairs) or of a rank-deficient lag (400)
+        levels = np.random.default_rng(pairs).standard_normal((pairs, 2, 60)).cumsum(-1)
+        components = decompose_stack(levels, "drift", ("var1", "var2"))
+        message = (r"^lag selection takes one pair of components, not a stack of shape "
+                   rf"\({pairs},\)$")
+        with pytest.raises(ValueError, match=message):
+            lag_order_table(*components, 1)
 
     def test_rank_deficient_design_names_the_series(self):
         # in either position the error names the series with the constant component

@@ -317,6 +317,23 @@ class TestWaldTest:
             assert str(caught.value) == ("H4: the Wald statistic is not finite "
                                          "(the estimate or its covariance overflows)")
 
+    @pytest.mark.parametrize("stack", [(), (3,), (2, 3)])
+    def test_one_system_gives_floats_and_a_stack_gives_arrays(self, stack):
+        single = single_coefficient_estimate(1.0, 0.25)
+        estimate = CoefficientEstimate(
+            **{name: np.broadcast_to(getattr(single, name), stack + getattr(single, name).shape)
+               for name in ("coefficients", "covariance", "omega", "residuals")},
+            estimator=single.estimator,
+        )
+        result = wald_test(estimate, HypothesisSpec("H1", np.array([[1.0]]), "x"))
+        for value in (result.statistic, result.p_value):
+            if stack:
+                assert isinstance(value, np.ndarray) and value.shape == stack
+            else:
+                assert isinstance(value, float)
+        np.testing.assert_array_equal(result.statistic, np.full(stack, 4.0))
+        np.testing.assert_array_equal(result.p_value, np.full(stack, chisq_sf(4.0, 1)))
+
     def test_dimension_mismatch(self):
         estimate = single_coefficient_estimate(1.0, 1.0)
         spec = HypothesisSpec("H1", np.array([[1.0, 0.0]]), "x")
