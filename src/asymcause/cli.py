@@ -259,9 +259,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
     components = [decompose(s, config.deterministic) for s in (first, second)]
 
     diagnostics: dict = {}
-    for comp in components:
-        if comp.degenerate_warning:
-            diagnostics.setdefault("warnings", []).append(comp.degenerate_warning)
+    notes = [c.degenerate_warning for c in components if c.degenerate_warning]
 
     if config.fixed_lags is not None:
         p_pos, p_neg = config.fixed_lags
@@ -279,20 +277,17 @@ def run_pipeline(config: AnalysisConfig) -> Report:
     system = build_design(*components, p_pos, p_neg, config.extra_lags)
     fgls = fgls_fit(system)
 
-    estimator_used = config.estimator
     estimate, fit_extra = fgls, {}
+    use_garch_t = config.estimator == "garch_t"
     if config.estimator == "auto":
         try:
             arch = arch_lm_diag(fgls.residuals, ARCH_LAGS)
             diagnostics["arch_lm"] = {**arch._asdict(), "lags": ARCH_LAGS}
-            estimator_used = "garch_t" if arch.p_value < ARCH_GATE_LEVEL else "fgls"
+            use_garch_t = arch.p_value < ARCH_GATE_LEVEL
         except InsufficientDataError as exc:  # too short for the gate, not for FGLS
             diagnostics["arch_lm"] = {"lags": ARCH_LAGS, "not_run": str(exc)}
-            diagnostics.setdefault("warnings", []).append(
-                f"ARCH LM gate not run, fgls kept: {exc}")
-            estimator_used = "fgls"
-    if estimator_used == "garch_t":
-        failure = None
+            notes.append(f"ARCH LM gate not run, fgls kept: {exc}")
+    if use_garch_t:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")  # each distinct warning, once
             try:
@@ -300,13 +295,10 @@ def run_pipeline(config: AnalysisConfig) -> Report:
             except AsymCauseError as exc:
                 if config.estimator == "garch_t":
                     raise
-                failure = exc  # under auto, FGLS stays valid: keep it
-        for warning in caught:
-            diagnostics.setdefault("warnings", []).append(str(warning.message))
-        if failure is not None:
-            diagnostics.setdefault("warnings", []).append(
-                f"the garch_t fit failed, fgls kept: {failure}")
-            estimator_used = "fgls"
+                garch_fit = exc  # under auto, FGLS stays valid: keep it
+        notes += [str(warning.message) for warning in caught]
+        if isinstance(garch_fit, AsymCauseError):
+            notes.append(f"the garch_t fit failed, fgls kept: {garch_fit}")
         else:
             estimate = garch_fit.mean
             fit_extra = {"loglik": float(garch_fit.loglik), "nu": float(garch_fit.garch.nu),
@@ -315,10 +307,8 @@ def run_pipeline(config: AnalysisConfig) -> Report:
                          "information_condition": garch_fit.information_condition}
     if not estimate.converged:
         stop = fit_extra.get("stop", f"GLS solve limit of {estimate.iterations} reached")
-        diagnostics.setdefault("warnings", []).append(
-            f"the {estimate.estimator} estimate did not converge ({stop}); "
-            "its standard errors and Wald tests are unreliable"
-        )
+        notes.append(f"the {estimate.estimator} estimate did not converge ({stop}); "
+                     "its standard errors and Wald tests are unreliable")
     diagnostics["estimation"] = {
         "estimator": estimate.estimator,
         "iterations": estimate.iterations,
@@ -341,6 +331,12 @@ def run_pipeline(config: AnalysisConfig) -> Report:
                 "causal": entry.causal,
             }
         )
+    nulls = [row["name"] for row in estimates_rows if row["std_error"] is None]
+    if nulls:
+        notes.append(f"the {estimate.estimator} covariance has negative variances at "
+                     f"{', '.join(nulls)}; their standard errors are null")
+    if notes:
+        diagnostics["warnings"] = notes
     hypotheses_rows = [
         {
             "id": r.hypothesis.id,
@@ -362,7 +358,7 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         },
         "lag_orders": [p_pos, p_neg],
         "extra_lags": config.extra_lags,
-        "estimator": estimator_used,
+        "estimator": estimate.estimator,
         "version": __version__,
     }
     return Report(
@@ -595,10 +591,6 @@ def _cmd_mc_size(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "reps": args.reps,
-            "t_obs": args.t_obs,
-            "level": args.level,
-            "seed": args.seed,
-            "feedback": args.causal_feedback,
             "config": {"dgp": asdict(config), **study},
             "rates": rates,
         }

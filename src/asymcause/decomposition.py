@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, SingularityError
+from .errors import DataError
 
 DETERMINISTIC_KINDS = ("none", "drift", "drift_and_trend")
 
@@ -98,13 +98,12 @@ def fit_deterministic(series: Series, kind: str) -> tuple[float, float]:
     "drift_and_trend" regresses the first differences on a constant and the
     time index t = 1..T by least squares.
     """
-    drift, trend = _fit(np.diff(series.values[None]), kind, (series.name,))
+    drift, trend = _fit(np.diff(series.values[None]), kind)
     return float(drift[0, 0]), float(trend[0, 0])
 
 
-def _fit(diffs: np.ndarray, kind: str, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(drift, trend), each (..., V, 1), of a (..., V, T-1) stack of increments;
-    names[v] names variable v in errors."""
+def _fit(diffs: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(drift, trend), each (..., V, 1), of a (..., V, T-1) stack of increments."""
     _check_kind(kind)
     zeros = np.zeros((*diffs.shape[:-1], 1))
     if kind == "none":
@@ -112,10 +111,6 @@ def _fit(diffs: np.ndarray, kind: str, names: Sequence[str]) -> tuple[np.ndarray
     mean = diffs.sum(axis=-1, keepdims=True) / diffs.shape[-1]  # np.mean without its overhead
     if kind == "drift":
         return mean, zeros
-    constant = ~diffs.any(axis=-1)
-    if constant.any():  # the first constant path, in the order of the leading axes
-        name = names[np.argwhere(constant)[0][-1]]
-        raise SingularityError(f"series {name!r}: constant series, trend fit is rank-deficient")
     # least squares on [1, t], centred; t - t.mean() and its squares' sum are exact
     t = np.arange(1, diffs.shape[-1] + 1, dtype=float)
     centred = t - t.mean()
@@ -136,16 +131,18 @@ def decompose_stack(levels: np.ndarray, kind: str,
 
     Returns one SignedComponents per variable, holding its (..., T) stack of
     paths; each path's components equal those of ``decompose`` on it alone,
-    bit for bit.  names[v] names variable v.  A constant path under
-    "drift_and_trend" raises the error of the first one in the order of the
-    leading axes, then of the variables.
+    bit for bit.  names[v] names variable v.  Paths shorter than a Series'
+    3 observations are rejected as a Series rejects them.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim < 2 or levels.shape[-2] != len(names):
         raise ValueError(f"levels of shape {levels.shape} do not hold one variable "
                          f"per name of {tuple(names)}")
+    if levels.shape[-1] < 3:
+        raise DataError(f"series {names[0]!r}: need at least 3 observations, "
+                        f"got {levels.shape[-1]}")
     diffs = levels[..., 1:] - levels[..., :-1]
-    drift, trend = _fit(diffs, kind, names)
+    drift, trend = _fit(diffs, kind)
     innovations = diffs - drift - trend * np.arange(1, levels.shape[-1], dtype=float)
     rises = np.maximum(innovations, 0.0).cumsum(axis=-1)
     falls = np.minimum(innovations, 0.0).cumsum(axis=-1)

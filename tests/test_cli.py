@@ -47,6 +47,17 @@ def failing_garch_t(failure):
     return fit
 
 
+def negating_garch_t(system, init):
+    """A stand-in for cli.fit_sure_garch_t whose covariance has a negative
+    variance at the first coefficient that no catalog null restricts."""
+    real = mgarch.fit_sure_garch_t(system, init=init)
+    covariance = real.mean.covariance.copy()
+    first_free = next(k for k, entry in enumerate(system.layout) if not entry.causal)
+    covariance[first_free, first_free] = -abs(covariance[first_free, first_free])
+    return dataclasses.replace(real, mean=dataclasses.replace(real.mean,
+                                                              covariance=covariance))
+
+
 GARCH_T_FAILURES = {
     "raises": "observed information matrix is not invertible; the fit stopped on: "
               "maximum iterations reached",
@@ -350,9 +361,29 @@ class TestPipeline:
         estimation = report.diagnostics["estimation"]
         assert not estimation["converged"]
         assert estimation["stop"] == "curvature refresh limit reached"
-        assert report.diagnostics["warnings"][-1] == (
+        # in stage order: the fit's own warning, then non-convergence; the
+        # list closes the diagnostics
+        assert list(report.diagnostics) == ["estimation", "warnings"]
+        assert report.diagnostics["warnings"] == [
+            "effective sample 158 is below 10x the 39 free parameters; "
+            "estimates may be unstable",
             "the garch_t estimate did not converge (curvature refresh limit reached); "
-            "its standard errors and Wald tests are unreliable")
+            "its standard errors and Wald tests are unreliable",
+        ]
+
+    def test_a_negative_variance_is_warned(self, garch_csvs, monkeypatch):
+        monkeypatch.setattr(cli, "fit_sure_garch_t", negating_garch_t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_pipeline(AnalysisConfig(inputs=tuple(garch_csvs),
+                                                 fixed_lags=(1, 1)))
+        assert report.provenance["estimator"] == "garch_t"
+        nulls = [row["name"] for row in report.estimates if row["std_error"] is None]
+        assert nulls == ["lambda+_1"]
+        warning = ("the garch_t covariance has negative variances at lambda+_1; "
+                   "their standard errors are null")
+        assert report.diagnostics["warnings"][-1] == warning
+        assert f"  Warning: {warning}" in render_report(report).splitlines()
 
     @pytest.mark.parametrize("failure", sorted(GARCH_T_FAILURES))
     def test_auto_keeps_fgls_when_the_garch_t_fit_fails(self, garch_csvs, monkeypatch,
@@ -529,6 +560,8 @@ class TestMainEntry:
         ])
         assert code == 0
         payload = json.loads(out.read_text())
+        # each setting is stated once, inside the config
+        assert list(payload) == ["reps", "config", "rates"]
         assert payload["reps"] == 20
         assert set(payload["rates"]) == {f"H{i}" for i in range(1, 11)}
 

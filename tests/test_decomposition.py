@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from asymcause import Series, decompose, decomposition
 from asymcause.decomposition import (SignedComponents, _fit, decompose_stack,
                                      fit_deterministic, recompose)
-from asymcause.errors import DataError, SingularityError
+from asymcause.errors import DataError
 
 DRIFT, NONE, TREND = "drift", "none", "drift_and_trend"
 
@@ -65,9 +65,29 @@ class TestFitDeterministic:
         assert drift == pytest.approx(0.5, abs=0.35)
         assert trend == pytest.approx(0.05, abs=0.01)
 
-    def test_constant_series_with_trend_errors(self):
-        with pytest.raises(SingularityError, match="constant"):
-            fit_deterministic(Series(values=np.full(10, 3.0)), TREND)
+    @settings(max_examples=40, deadline=None)
+    @given(t_obs=st.integers(3, 500), level=st.floats(-1e6, 1e6), paths=st.integers(1, 3))
+    def test_a_constant_series_fits_zero_drift_and_trend(self, t_obs, level, paths):
+        # the trend design [1, t] does not depend on the data: a constant path
+        # fits drift = trend = 0, and decomposes as under "drift", alone and
+        # inside a stack
+        series = Series(values=np.full(t_obs, level), name="flat")
+        assert fit_deterministic(series, TREND) == (0.0, 0.0)
+        trend, drift = decompose(series, TREND), decompose(series, DRIFT)
+        np.testing.assert_array_equal(trend.positive, np.full(t_obs, level / 2.0))
+        np.testing.assert_array_equal(trend.negative, np.full(t_obs, level / 2.0))
+        assert trend.positive.tobytes() == drift.positive.tobytes()
+        assert trend.negative.tobytes() == drift.negative.tobytes()
+        assert trend.degenerate_warning == drift.degenerate_warning == (
+            "series 'flat': no positive innovations; the positive component has "
+            "zero stochastic variation")
+        levels = np.cumsum(np.random.default_rng(t_obs).standard_normal((paths, 2, t_obs)),
+                           axis=-1)
+        levels[-1, 1] = level
+        stacked = decompose_stack(levels, TREND, ("walk", "flat"))[1]
+        assert stacked.positive[-1].tobytes() == drift.positive.tobytes()
+        assert stacked.negative[-1].tobytes() == drift.negative.tobytes()
+        assert stacked.degenerate_warning == drift.degenerate_warning
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -215,16 +235,23 @@ class TestDecomposeStack:
             if comps.degenerate_warning:
                 assert comps.degenerate_warning in warned
 
-    def test_the_first_constant_path_names_its_variable(self):
-        # paths in the order of the leading axis, then of the variables
+    def test_constant_paths_are_half_their_level_under_every_kind(self):
         levels = np.random.default_rng(3).standard_normal((4, 2, 30)).cumsum(axis=-1)
         levels[2, 1] = 5.0
         levels[3, 0] = 5.0
-        with pytest.raises(SingularityError, match="^series 'b': constant series"):
-            decompose_stack(levels, TREND, ("a", "b"))
-        for kind in (NONE, DRIFT):
+        for kind in (NONE, DRIFT, TREND):
             a, b = decompose_stack(levels, kind, ("a", "b"))
             np.testing.assert_array_equal(b.positive[2], np.full(30, 2.5))
+            np.testing.assert_array_equal(a.negative[3], np.full(30, 2.5))
+            assert b.degenerate_warning.startswith("series 'b': no positive innovations")
+
+    @pytest.mark.parametrize("t_obs, kind", [(2, TREND), (1, DRIFT)])
+    def test_paths_shorter_than_a_series_are_rejected(self, t_obs, kind):
+        # as Series rejects them, before any fit: no 0/0 trend, no empty sum
+        levels = np.zeros((5, 2, t_obs))
+        with pytest.raises(DataError, match=f"^series 'a': need at least 3 "
+                                            f"observations, got {t_obs}$"):
+            decompose_stack(levels, kind, ("a", "b"))
 
     def test_one_name_per_variable(self):
         for levels, names in [(np.zeros(5), ("a",)), (np.zeros((2, 5)), ("a",)),

@@ -304,31 +304,24 @@ class TestEmpiricalSize:
                 patch.setattr(montecarlo, "STUDY_BLOCK", block)
                 assert empirical_size(config, reps, **study) == rates
 
-    @pytest.mark.parametrize("estimator", ["fgls", "ols"])
+    @pytest.mark.parametrize("estimator, deterministic", [
+        ("fgls", "drift"), ("ols", "drift"),
+        ("fgls", "drift_and_trend"), ("ols", "drift_and_trend"),
+    ], ids=["fgls", "ols", "fgls-drift_and_trend", "ols-drift_and_trend"])
     @pytest.mark.parametrize("block", [1, 4, 16])
-    def test_a_degenerate_replication_fails_the_study(self, monkeypatch, estimator, block):
-        # replication 5's second series is constant: the study raises that
-        # replication's own error, naming its equation and regressor
+    def test_a_degenerate_replication_fails_the_study(self, monkeypatch, estimator,
+                                                      deterministic, block):
+        # replication 5's second series is constant: under either kind the
+        # study raises that replication's own error, naming its equation and
+        # regressor
         config = DgpConfig(drift=(0.1, 0.1), t_obs=80, seed=3)
         monkeypatch.setattr(montecarlo, "_draw", constant_paths(montecarlo._draw, {5: 1}))
         bad = simulate_dgp(replace(config, seed=(3, 5)))
         with pytest.raises(SingularityError) as own:
-            ols_fit(build_design(*[decompose(s, "drift") for s in bad], 1, 1, 1))
+            ols_fit(build_design(*[decompose(s, deterministic) for s in bad], 1, 1, 1))
         assert str(own.value) == ("equation Z+1 (var1): design matrix is rank-deficient "
                                   "at beta+_2,1, a lag of 'var2'")
         monkeypatch.setattr(montecarlo, "STUDY_BLOCK", block)
         with pytest.raises(SingularityError) as study:
-            empirical_size(config, reps=12, estimator=estimator)
+            empirical_size(config, reps=12, deterministic=deterministic, estimator=estimator)
         assert str(study.value) == str(own.value)
-
-    @pytest.mark.parametrize("block", [1, 4, 16])
-    def test_the_first_constant_replication_fails_a_trend_study(self, monkeypatch, block):
-        # replication 3's var2 and replication 7's var1 are constant: as in a
-        # loop over the replications, the study raises replication 3's error
-        config = DgpConfig(drift=(0.1, 0.1), t_obs=80, seed=3)
-        monkeypatch.setattr(montecarlo, "_draw", constant_paths(montecarlo._draw, {3: 1, 7: 0}))
-        monkeypatch.setattr(montecarlo, "STUDY_BLOCK", block)
-        with pytest.raises(SingularityError) as study:
-            empirical_size(config, reps=12, deterministic="drift_and_trend")
-        assert str(study.value) == ("series 'var2': constant series, trend fit is "
-                                    "rank-deficient")
