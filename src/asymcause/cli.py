@@ -11,13 +11,17 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import json
+import operator
 import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
 from datetime import date
+from itertools import compress
 from pathlib import Path
+from time import perf_counter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +40,9 @@ P_VALUE_FLOOR = 1e-5  # below this the text renderer prints "< 0.00001"
 ARCH_GATE_LEVEL = 0.05  # fixed gate for the auto estimator choice
 ARCH_LAGS = 1  # lags of the gate's ARCH LM regression
 RUN_ESTIMATORS = ("fgls", "garch_t", "auto")
+# stages of run_pipeline timed in diagnostics.timings; estimation includes the
+# ARCH gate and any GARCH-t fit, wald the catalog and its tests
+TIMED_STAGES = ("ingest", "decomposition", "lag_selection", "design", "estimation", "wald")
 
 
 @dataclass(frozen=True)
@@ -113,10 +120,16 @@ def _date_keys(labels: list[str]) -> list:
     """What date labels are ordered by: numbers, ISO dates or the labels."""
     for parse in (float, date.fromisoformat):
         try:
-            return [parse(label) for label in labels]
+            return list(map(parse, labels))
         except ValueError:
             pass
     return labels
+
+
+def _first_false(checks) -> int:
+    """Position of the first failed check; the number of checks if none failed."""
+    checks = list(checks)
+    return len(checks) if all(checks) else checks.index(False)
 
 
 def load_csv(
@@ -165,41 +178,43 @@ def load_csv(
             raise DataError(
                 f"{path}: no column {value_column!r}; found {header}"
             )
-        dates: list[str] = []
-        values: list[float] = []
-        row_numbers: list[int] = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(date_idx, value_idx):
-                raise DataError(f"{path}: malformed row {row_number}: {row!r}")
-            stamp = row[date_idx].strip()
-            raw = row[value_idx].strip()
-            if raw in (".", ""):
-                raise DataError(f"{path}: missing value at row {row_number}")
+        rows = list(reader)
+    # the non-blank rows and their numbers in the file; a row of blank or
+    # whitespace-only cells is skipped
+    filled = list(map(str.strip, map("".join, rows)))
+    numbers = list(compress(range(2, len(rows) + 2), filled))
+    rows = list(compress(rows, filled))
+    # each check is one pass over the rows; the first failing row is reported,
+    # and within a row a short row, then a missing value, then a malformed one
+    width = max(date_idx, value_idx) + 1
+    short = _first_false(len(row) >= width for row in rows)
+    dates = [row[date_idx].strip() for row in rows[:short]]
+    raws = [row[value_idx].strip() for row in rows[:short]]
+    missing = _first_false(raw not in (".", "") for raw in raws)
+    try:
+        values = list(map(float, raws[:missing]))
+    except ValueError:
+        for number, raw in zip(numbers, raws):
             try:
-                value = float(raw)
+                float(raw)
             except ValueError:
-                raise DataError(
-                    f"{path}: malformed value {raw!r} at row {row_number}"
-                ) from None
-            dates.append(stamp)
-            values.append(value)
-            row_numbers.append(row_number)
-    array = np.asarray(values)
+                raise DataError(f"{path}: malformed value {raw!r} at row {number}") from None
+    if missing < len(raws):
+        raise DataError(f"{path}: missing value at row {numbers[missing]}")
+    if short < len(rows):
+        raise DataError(f"{path}: malformed row {numbers[short]}: {rows[short]!r}")
+    array = np.array(values)
     non_finite = np.flatnonzero(~np.isfinite(array))
     if non_finite.size:
         i = non_finite[0]
-        raise DataError(
-            f"{path}: non-finite value '{array[i]}' at row {row_numbers[i]}"
-        )
+        raise DataError(f"{path}: non-finite value '{array[i]}' at row {numbers[i]}")
     keys = _date_keys(dates)
-    for i in range(1, len(keys)):
-        if not keys[i] > keys[i - 1]:
-            raise DataError(
-                f"{path}: dates not strictly increasing at row {row_numbers[i]} "
-                f"({dates[i - 1]!r} then {dates[i]!r})"
-            )
+    i = 1 + _first_false(map(operator.lt, keys, keys[1:]))
+    if i < len(keys):
+        raise DataError(
+            f"{path}: dates not strictly increasing at row {numbers[i]} "
+            f"({dates[i - 1]!r} then {dates[i]!r})"
+        )
     series_name = name or (
         header[value_idx] if header[value_idx].upper() != "VALUE" else file_path.stem
     )
@@ -238,6 +253,7 @@ def _fit_garch_t(system: SureSystem, fgls: CoefficientEstimate) -> GarchFit:
 
 def run_pipeline(config: AnalysisConfig) -> Report:
     """Load, decompose, estimate and test; assemble the full report."""
+    marks = [perf_counter()]  # one more at the end of each of TIMED_STAGES
     first, second = (
         load_csv(path, config.date_column, config.value_column, name)
         for path, name in zip(config.inputs, config.names or (None, None))
@@ -256,7 +272,9 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         )
     if config.log_transform:
         first, second = _log_series(first), _log_series(second)
+    marks.append(perf_counter())
     components = [decompose(s, config.deterministic) for s in (first, second)]
+    marks.append(perf_counter())
 
     diagnostics: dict = {}
     notes = [c.degenerate_warning for c in components if c.degenerate_warning]
@@ -273,8 +291,10 @@ def run_pipeline(config: AnalysisConfig) -> Report:
             "negative": [float(v) for v in table["negative"]],
             "selected": [p_pos, p_neg],
         }
+    marks.append(perf_counter())
 
     system = build_design(*components, p_pos, p_neg, config.extra_lags)
+    marks.append(perf_counter())
     fgls = fgls_fit(system)
 
     estimate, fit_extra = fgls, {}
@@ -315,9 +335,13 @@ def run_pipeline(config: AnalysisConfig) -> Report:
         "converged": estimate.converged,
         **fit_extra,
     }
+    marks.append(perf_counter())
 
     specs = catalog(system, config.sum_restrictions)
     results = run_catalog(estimate, specs)
+    marks.append(perf_counter())
+    diagnostics["timings"] = {stage: end - start for stage, start, end
+                              in zip(TIMED_STAGES, marks, marks[1:])}
 
     estimates_rows = []
     variances = np.diag(estimate.covariance)
@@ -490,6 +514,7 @@ def _add_common_input_flags(parser: argparse.ArgumentParser) -> None:
     _add_deterministic_flag(parser)
 
 
+@functools.cache  # one parser per process; every list default is a tuple
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asymcause",
@@ -527,8 +552,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--T", type=int, default=300, dest="t_obs")
     mc.add_argument("--level", type=float, default=0.05)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--drift", nargs=2, type=float, default=[0.1, 0.1])
-    mc.add_argument("--trend", nargs=2, type=float, default=[0.0, 0.0])
+    mc.add_argument("--drift", nargs=2, type=float, default=(0.1, 0.1))
+    mc.add_argument("--trend", nargs=2, type=float, default=(0.0, 0.0))
     mc.add_argument(
         "--error-correlation", type=float, default=0.0, metavar="RHO",
         help="cross-correlation of the two innovation series",
@@ -539,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--feedback", type=float, dest="causal_feedback",
                     metavar="FEEDBACK", help="power study: inject this "
                     "coefficient of variable 2's lagged positive shocks")
-    mc.add_argument("--fixed-lags", nargs=2, type=int, default=[1, 1])
+    mc.add_argument("--fixed-lags", nargs=2, type=int, default=(1, 1))
     mc.add_argument("--extra-lags", type=int, default=1)
     mc.add_argument("--estimator", choices=STUDY_ESTIMATORS, default="fgls")
     _add_deterministic_flag(mc)

@@ -67,6 +67,12 @@ GARCH_T_FAILURES = {
 }
 
 
+def untimed(report: Report) -> Report:
+    """The report without its wall-clock stage timings."""
+    return dataclasses.replace(report, diagnostics={
+        key: value for key, value in report.diagnostics.items() if key != "timings"})
+
+
 def write_series_csv(path, series, transform=None, date_header="DATE",
                      value_header="VALUE", start_year=1999):
     transform = transform or (lambda v: v)
@@ -305,8 +311,9 @@ class TestPipeline:
             fixed_lags=(1, 1),
             estimator="fgls",
         )
-        first = render_report(run_pipeline(config), "json")
-        second = render_report(run_pipeline(config), "json")
+        # byte for byte, but for the wall-clock stage timings
+        first = render_report(untimed(run_pipeline(config)), "json")
+        second = render_report(untimed(run_pipeline(config)), "json")
         assert first == second
 
     def test_garch_branch_end_to_end(self, garch_csvs):
@@ -340,6 +347,16 @@ class TestPipeline:
             "estimates may be unstable"
         ]
 
+    def test_stage_timings_are_in_the_json_report_only(self, pair_of_csvs):
+        report = run_pipeline(AnalysisConfig(inputs=tuple(pair_of_csvs), log_transform=True,
+                                             p_max=4, estimator="fgls"))
+        timings = report.diagnostics["timings"]
+        assert list(timings) == ["ingest", "decomposition", "lag_selection", "design",
+                                 "estimation", "wald"]
+        assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timings.values())
+        assert parse_report(report.to_json()) == report
+        assert render_report(report) == render_report(untimed(report))
+
     def test_unconverged_fgls_is_warned(self, pair_of_csvs, monkeypatch):
         monkeypatch.setattr(sure, "FGLS_MAX_ITER", 1)
         config = AnalysisConfig(inputs=tuple(pair_of_csvs), log_transform=True,
@@ -363,7 +380,7 @@ class TestPipeline:
         assert estimation["stop"] == "curvature refresh limit reached"
         # in stage order: the fit's own warning, then non-convergence; the
         # list closes the diagnostics
-        assert list(report.diagnostics) == ["estimation", "warnings"]
+        assert list(report.diagnostics) == ["estimation", "timings", "warnings"]
         assert report.diagnostics["warnings"] == [
             "effective sample 158 is below 10x the 39 free parameters; "
             "estimates may be unstable",
@@ -595,6 +612,18 @@ class TestMainEntry:
         config = DgpConfig(**study.pop("dgp"))
         assert (config.error_correlation, study["fixed_lags"]) == (0.5, [2, 1])
         assert empirical_size(config, **study) == payload["rates"]
+
+    def test_the_reused_parser_keeps_each_calls_settings(self, tmp_path):
+        # main parses with one parser per process, so no call may change a default
+        assert _build_parser() is _build_parser()
+        out = tmp_path / "rates.json"
+        configs = []
+        for flags in (["--fixed-lags", "2", "1", "--drift", "0.2", "0.1"], []):
+            assert main(["mc-size", "--reps", "2", "--T", "60", *flags,
+                         "--format", "json", "--out", str(out)]) == 0
+            configs.append(json.loads(out.read_text())["config"])
+        assert [config["fixed_lags"] for config in configs] == [[2, 1], [1, 1]]
+        assert [config["dgp"]["drift"] for config in configs] == [[0.2, 0.1], [0.1, 0.1]]
 
     def test_data_errors_exit_nonzero(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
