@@ -15,6 +15,7 @@ import functools
 import json
 import operator
 import os
+import shutil
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -128,8 +129,15 @@ def _date_keys(labels: list[str]) -> list:
 
 def _first_false(checks) -> int:
     """Position of the first failed check; the number of checks if none failed."""
-    checks = list(checks)
-    return len(checks) if all(checks) else checks.index(False)
+    return [*checks, False].index(False)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def load_csv(
@@ -190,20 +198,14 @@ def load_csv(
     short = _first_false(len(row) >= width for row in rows)
     dates = [row[date_idx].strip() for row in rows[:short]]
     raws = [row[value_idx].strip() for row in rows[:short]]
-    missing = _first_false(raw not in (".", "") for raw in raws)
-    try:
-        values = list(map(float, raws[:missing]))
-    except ValueError:
-        for number, raw in zip(numbers, raws):
-            try:
-                float(raw)
-            except ValueError:
-                raise DataError(f"{path}: malformed value {raw!r} at row {number}") from None
-    if missing < len(raws):
-        raise DataError(f"{path}: missing value at row {numbers[missing]}")
+    bad = _first_false(map(_is_float, raws))  # a missing marker is no number either
+    if bad < len(raws):
+        if raws[bad] in (".", ""):
+            raise DataError(f"{path}: missing value at row {numbers[bad]}")
+        raise DataError(f"{path}: malformed value {raws[bad]!r} at row {numbers[bad]}")
     if short < len(rows):
         raise DataError(f"{path}: malformed row {numbers[short]}: {rows[short]!r}")
-    array = np.array(values)
+    array = np.array(list(map(float, raws)))
     non_finite = np.flatnonzero(~np.isfinite(array))
     if non_finite.size:
         i = non_finite[0]
@@ -514,16 +516,20 @@ def _add_common_input_flags(parser: argparse.ArgumentParser) -> None:
     _add_deterministic_flag(parser)
 
 
-@functools.cache  # one parser per process; every list default is a tuple
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter, which asks the terminal for its width,
+    # for every argument it adds; ask once per parser instead
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="asymcause",
         description="Asymmetric causality testing between two time series.",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="full analysis of two series")
+    run = sub.add_parser("run", formatter_class=formatter, help="full analysis of two series")
     run.add_argument("--input", nargs="+", required=True, metavar="CSV", dest="inputs")
     _add_common_input_flags(run)
     run.add_argument("--names", nargs="+", help="display names per input")
@@ -542,18 +548,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=["text", "json"], default="text")
     run.add_argument("--out", help="write the report here instead of stdout")
 
-    dec = sub.add_parser("decompose", help="emit signed components as CSV")
+    dec = sub.add_parser("decompose", formatter_class=formatter,
+                         help="emit signed components as CSV")
     dec.add_argument("--input", required=True, metavar="CSV")
     _add_common_input_flags(dec)
     dec.add_argument("--out", help="output CSV path (default stdout)")
 
-    mc = sub.add_parser("mc-size", help="empirical size/power study")
+    mc = sub.add_parser("mc-size", formatter_class=formatter, help="empirical size/power study")
     mc.add_argument("--reps", type=int, default=1000)
     mc.add_argument("--T", type=int, default=300, dest="t_obs")
     mc.add_argument("--level", type=float, default=0.05)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--drift", nargs=2, type=float, default=(0.1, 0.1))
-    mc.add_argument("--trend", nargs=2, type=float, default=(0.0, 0.0))
+    mc.add_argument("--drift", nargs=2, type=float, default=[0.1, 0.1])
+    mc.add_argument("--trend", nargs=2, type=float, default=[0.0, 0.0])
     mc.add_argument(
         "--error-correlation", type=float, default=0.0, metavar="RHO",
         help="cross-correlation of the two innovation series",
@@ -564,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--feedback", type=float, dest="causal_feedback",
                     metavar="FEEDBACK", help="power study: inject this "
                     "coefficient of variable 2's lagged positive shocks")
-    mc.add_argument("--fixed-lags", nargs=2, type=int, default=(1, 1))
+    mc.add_argument("--fixed-lags", nargs=2, type=int, default=[1, 1])
     mc.add_argument("--extra-lags", type=int, default=1)
     mc.add_argument("--estimator", choices=STUDY_ESTIMATORS, default="fgls")
     _add_deterministic_flag(mc)

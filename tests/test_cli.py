@@ -613,18 +613,6 @@ class TestMainEntry:
         assert (config.error_correlation, study["fixed_lags"]) == (0.5, [2, 1])
         assert empirical_size(config, **study) == payload["rates"]
 
-    def test_the_reused_parser_keeps_each_calls_settings(self, tmp_path):
-        # main parses with one parser per process, so no call may change a default
-        assert _build_parser() is _build_parser()
-        out = tmp_path / "rates.json"
-        configs = []
-        for flags in (["--fixed-lags", "2", "1", "--drift", "0.2", "0.1"], []):
-            assert main(["mc-size", "--reps", "2", "--T", "60", *flags,
-                         "--format", "json", "--out", str(out)]) == 0
-            configs.append(json.loads(out.read_text())["config"])
-        assert [config["fixed_lags"] for config in configs] == [[2, 1], [1, 1]]
-        assert [config["dgp"]["drift"] for config in configs] == [[0.2, 0.1], [0.1, 0.1]]
-
     def test_data_errors_exit_nonzero(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")
         code = main(["run", "--input", missing, missing])
