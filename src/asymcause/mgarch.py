@@ -333,11 +333,20 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
     stack = np.asarray(theta, dtype=float)
     k_mean, n = system.n_coefficients, system.n_equations
     try:
-        mean, params, persistence, share = _constrained(np.atleast_2d(stack), k_mean, n)
+        constrained = _constrained(np.atleast_2d(stack), k_mean, n)
     except FloatingPointError as exc:
         raise LikelihoodError(f"score evaluation failed: {exc}") from None
-    t_eff = system.effective_sample
-    _, resid, sq, s2, h, z, chol, half, quad = _forward(system, mean, params)
+    score = _adjoint(system, constrained, [_forward(system, *constrained[:2])])
+    return score if stack.ndim == 2 else score[0]
+
+
+def _adjoint(system: SureSystem, constrained, forward: list[_Forward]) -> np.ndarray:
+    """The (P, k) score of the rows that `_forward` evaluated at `constrained`,
+    an output of `_constrained`.  It pops that one `_Forward` from `forward`,
+    so no caller keeps its arrays alive while they are spent."""
+    _, params, persistence, share = constrained
+    t_eff, n = system.effective_sample, system.n_equations
+    _, resid, sq, s2, h, z, chol, half, quad = forward.pop()
     nu = params.nu[:, None]
     # (T, P, n) arrays stay C-ordered, so each recursion step is one contiguous
     # row, and each is dropped once spent: a Jacobian's stack has P = 2k rows
@@ -387,7 +396,7 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             raise LikelihoodError(f"score evaluation failed: {exc}") from None
     # Jacobians of the exp and sigmoid transforms
-    score = np.concatenate([
+    return np.concatenate([
         mean_bar,
         omega_bar * params.omega,
         (alpha_bar * share + beta_bar * (1.0 - share)) * persistence * (1.0 - persistence),
@@ -395,7 +404,6 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
         lower_bar,
         (nu_bar * (params.nu - 2.0))[:, None],
     ], axis=1)
-    return score if stack.ndim == 2 else score[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +411,27 @@ def garch_t_score(theta: np.ndarray, system: SureSystem) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
-    """The fit's objective, -garch_t_loglik at constrain_params(theta) on the
-    score's forward pass; +inf where the likelihood or a transform fails, and
-    where a persistence or share logit passes _LOGIT_LIMIT."""
+def _evaluate(theta: np.ndarray, system: SureSystem) -> tuple[float, Optional[tuple]]:
+    """The fit's objective at theta, -garch_t_loglik at constrain_params(theta)
+    on the score's forward pass, with the (constrained, forward) pair that
+    `_adjoint` finishes into the score, or (+inf, None) where the likelihood
+    or a transform fails and where a persistence or share logit passes
+    _LOGIT_LIMIT."""
     k_mean, n = system.n_coefficients, system.n_equations
     _, _, persistence, share, _, _ = _blocks(theta, k_mean, n)
     if np.max(np.abs(np.concatenate([persistence, share]))) > _LOGIT_LIMIT:
-        return np.inf
+        return np.inf, None
     try:
-        mean, params, _, _ = _constrained(theta[None], k_mean, n)
-        return -float(_forward(system, mean, params).value[0])
+        constrained = _constrained(theta[None], k_mean, n)
+        forward = _forward(system, *constrained[:2])
     except (LikelihoodError, ArithmeticError):
-        return np.inf
+        return np.inf, None
+    return -float(forward.value[0]), (constrained, forward)
+
+
+def _negative_loglik(theta: np.ndarray, system: SureSystem) -> float:
+    """The fit's objective: the value of `_evaluate`."""
+    return _evaluate(theta, system)[0]
 
 
 def _initial_spec(resid: np.ndarray) -> GarchSpec:
@@ -444,10 +460,12 @@ def fit_sure_garch_t(
     parameters start from moment-based values.  One `minimize_bfgs` call,
     at most optim.BFGS_MAX_ITER iterations, returns the observed information
     as its Hessian: central differences of the score.
-    The objective runs the score's forward pass on a one-row stack and is
-    +inf once a persistence or share logit passes +-_LOGIT_LIMIT, so the fit
-    stops short of a boundary (alpha or beta = 0, alpha + beta = 1) instead
-    of saturating the map.  The correlation is C C' with C's rows those of a
+    The objective runs the score's forward pass on a one-row stack, and the
+    score at an accepted iterate, a one-row call at the point the objective
+    last evaluated, finishes that pass instead of repeating it.  The
+    objective is +inf once a persistence or share logit passes
+    +-_LOGIT_LIMIT, so the fit stops short of a boundary (alpha or beta = 0,
+    alpha + beta = 1) instead of saturating the map.  The correlation is C C' with C's rows those of a
     unit-lower-triangular matrix scaled to unit length, so its coordinates
     need no guard.
     The reported covariance of the mean coefficients is the corresponding
@@ -467,10 +485,19 @@ def fit_sure_garch_t(
             stacklevel=2,
         )
 
+    # the objective's last evaluation, (theta, constrained, [forward]), while it
+    # is finite and until the gradient at that theta finishes it
+    last = []
+
     def objective(theta: np.ndarray) -> float:
-        return _negative_loglik(theta, system)
+        value, state = _evaluate(theta, system)
+        last[:] = [] if state is None else [(theta.copy(), state[0], [state[1]])]
+        return value
 
     def gradient(theta: np.ndarray) -> np.ndarray:
+        if len(theta) == 1 and last and np.array_equal(theta[0], last[0][0]):
+            _, constrained, forward = last.pop()
+            return -_adjoint(system, constrained, forward)
         return -garch_t_score(theta, system)
 
     result = minimize_bfgs(objective, gradient, theta0)

@@ -7,10 +7,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from asymcause import fgls_fit, optim
+from asymcause import fgls_fit, mgarch, optim
 from asymcause.decomposition import Series, decompose, decompose_stack
 from asymcause.errors import InsufficientDataError, LikelihoodError, SingularityError
 from asymcause.mgarch import (
@@ -89,6 +89,34 @@ def reference_loglik(coefficients, spec, system):
              - 0.5 * n * np.log(np.pi * (nu - 2.0)))
     terms = const - 0.5 * logdet_h - 0.5 * (nu + n) * np.log1p(quad / (nu - 2.0))
     return float(np.sum(terms))
+
+
+def fit_closures(system):
+    """The objective, gradient and start that fit_sure_garch_t hands to
+    minimize_bfgs; the fit itself does not run."""
+    captured = {}
+
+    def capture(fun, grad, x0):
+        captured.update(fun=fun, grad=grad, x0=x0)
+        raise StopIteration
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mgarch, "minimize_bfgs", capture)
+        with pytest.raises(StopIteration), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit_sure_garch_t(system)
+    return captured["fun"], captured["grad"], captured["x0"]
+
+
+def counting_forward(patch, rows):
+    """Wrap mgarch._forward so that each call appends its row count to rows."""
+    forward = mgarch._forward
+
+    def counted(system, mean, params):
+        rows.append(len(mean))
+        return forward(system, mean, params)
+
+    patch.setattr(mgarch, "_forward", counted)
 
 
 class TestGarchSpecValidation:
@@ -541,6 +569,76 @@ class TestFit:
         data = rng.standard_normal((60, 2))
         with pytest.warns(UserWarning, match="free parameters"):
             fit_sure_garch_t(intercept_system(data))
+
+
+class TestScoreReuse:
+    """The fit's score at an accepted iterate finishes the objective's forward
+    pass; every other call runs garch_t_score."""
+
+    @pytest.mark.parametrize("pair", [None, 0, 8])
+    def test_fit_is_the_plain_bfgs_run_bit_for_bit(self, garch_pair, pair, monkeypatch):
+        system = garch_pair if pair is None else garch_robustness_system(pair)
+        runs = []
+
+        def recorded(fun, grad, x0):
+            runs.append((x0, optim.minimize_bfgs(fun, grad, x0)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(mgarch, "minimize_bfgs", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit_sure_garch_t(system)
+        (x0, fused), = runs
+        plain = optim.minimize_bfgs(lambda t: _negative_loglik(t, system),
+                                    lambda t: -garch_t_score(t, system), x0)
+        for name in ("x", "fun", "gradient", "hessian", "n_evals", "n_gradients",
+                     "message", "f_trace", "iterations"):
+            np.testing.assert_array_equal(getattr(fused, name), getattr(plain, name),
+                                          err_msg=name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 1.0))
+    def test_gradient_equals_the_score_after_any_objective_call(self, garch_pair, seed,
+                                                                spread):
+        fun, grad, x0 = fit_closures(garch_pair)
+        rng = np.random.default_rng(seed)
+        theta = x0 + spread * rng.standard_normal(x0.size)
+        other = theta + 1e-3 * rng.standard_normal(x0.size)
+        assume(np.isfinite(_negative_loglik(theta, garch_pair))
+               and np.isfinite(_negative_loglik(other, garch_pair)))
+        saturated = theta.copy()
+        saturated[garch_pair.n_coefficients + garch_pair.n_equations] = _LOGIT_LIMIT + 1.0
+        pair = np.stack([theta, theta])
+        rows = []
+        with pytest.MonkeyPatch.context() as patch:
+            counting_forward(patch, rows)
+            # (objective calls, gradient stack, the gradient's forward rows)
+            for evaluated, stack, passes in (([theta], theta[None], []),
+                                             ([theta], other[None], [1]),
+                                             ([theta], pair, [2]),
+                                             ([theta, saturated], theta[None], [1])):
+                for point in evaluated:
+                    fun(point)
+                del rows[:]
+                np.testing.assert_array_equal(grad(stack), -garch_t_score(stack, garch_pair))
+                assert rows[:-1] == passes  # the last is the reference's
+            # a finished evaluation is not finished twice
+            fun(theta)
+            grad(theta[None])
+            del rows[:]
+            grad(theta[None])
+            assert rows == [1]
+
+    def test_one_forward_pass_per_evaluation(self, garch_pair, monkeypatch):
+        rows = []
+        counting_forward(monkeypatch, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fit = fit_sure_garch_t(garch_pair)
+        k = fit.information.shape[0]
+        # 25 accepted iterates and 3 Jacobians; the iterates' scores add no pass
+        assert (fit.n_evals, fit.n_gradients) == (34, 25 + 3 * 2 * k)
+        assert sorted(rows) == [1] * 34 + [2 * k] * 3
 
 
 class TestArchLm:
